@@ -79,7 +79,6 @@ from .monotone import (
     Iterate,
     MelanProblem,
     MonotoneVerdict,
-    SampledShape,
     SineShape,
     ZeroShape,
     error_bounds,
@@ -155,7 +154,6 @@ __all__ = [
     "MonotoneVerdict",
     "ZeroShape",
     "SineShape",
-    "SampledShape",
     "make_sine_pair",
     "verify_lower",
     "verify_upper",

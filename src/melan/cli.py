@@ -55,6 +55,8 @@ def _number(block: dict, field: str, path: str, required: bool = True,
     value = block[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{field}", f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise _fail(f"{path}.{field}", f"expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -87,9 +89,12 @@ def _load_term(entry: dict, index: int):
         if not isinstance(values, list) or not values:
             raise _fail(f"{path}.values", "expected a non-empty list of numbers")
         try:
-            return Sampled(tuple(float(v) for v in values))
+            term = Sampled(values)
         except (TypeError, ValueError) as exc:
             raise _fail(f"{path}.values", str(exc)) from exc
+        if not np.all(np.isfinite(term.values)):
+            raise _fail(f"{path}.values", "expected finite numbers")
+        return term
     raise _fail(f"{path}.type", f"unknown load term type {tag!r}")
 
 
@@ -219,6 +224,13 @@ def _numerics(config: dict, args) -> dict:
         else _integer(block, "max_iter", "numerics", 100)
     )
     tol = args.tol if args.tol is not None else _number(block, "tol", "numerics", required=False)
+    # The residual check of solve-linear needs at least 7 grid points.
+    if grid < 7 or grid % 2 == 0:
+        raise _fail("numerics.grid_points", f"expected an odd integer >= 7, got {grid}")
+    if tol is not None and not (tol > 0.0 and np.isfinite(tol)):
+        raise _fail("numerics.tol", f"expected a positive finite number, got {tol}")
+    if max_iter < 1:
+        raise _fail("numerics.max_iter", f"expected an integer >= 1, got {max_iter}")
     force = bool(args.force or block.get("force", False))
     return {"grid_points": grid, "max_iter": max_iter, "tol": tol, "force": force}
 

@@ -12,8 +12,9 @@ the plain beam operator is p - N*I, so
 
 with A and B the convolutions of the load against the two second-order
 kernels, Lambda the integral of (B - A)/M, and psi/zeta the kernel row and
-double integrals.  Every load shape the package ships has A, B and their
-integrals in closed form; sampled loads fall back to Simpson quadrature.
+double integrals.  Analytic load shapes have A, B and their integrals in
+closed form; sampled loads use Simpson sums against both kernels, evaluated
+in O(n) time and memory from the kernels' semiseparable structure.
 
 Second derivatives are assembled from the same convolutions (never by
 differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
@@ -22,7 +23,6 @@ differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -117,25 +117,62 @@ def _classify_regime(M: float, N: float, L: float) -> str:
     return "unverified"
 
 
-@lru_cache(maxsize=4)
-def _g0_matrix(L: float, nx: int, ns: int) -> np.ndarray:
-    x = uniform_grid(L, nx)[:, None]
-    s = uniform_grid(L, ns)[None, :]
-    lo = np.minimum(x, s)
-    hi = np.maximum(x, s)
-    return lo * (L - hi) / L
+# Largest exponent in one _damped_cumsum block, far below overflow at 709.
+_BLOCK_EXPONENT = 300.0
 
 
-@lru_cache(maxsize=4)
-def _gm_matrix(M: float, L: float, nx: int, ns: int) -> np.ndarray:
-    params = KernelParams(M, L)
-    x = uniform_grid(L, nx)[:, None]
-    s = uniform_grid(L, ns)[None, :]
-    lo = np.minimum(x, s)
-    hi = np.maximum(x, s)
-    num = np.expm1(-2.0 * params.mu * lo) * np.expm1(-2.0 * params.mu * (L - hi))
-    den = -2.0 * np.expm1(-2.0 * params.muL)
-    return np.exp(params.mu * (lo + (L - hi)) - params.muL) * num / den / params.mu
+def _damped_cumsum(t: np.ndarray, a: np.ndarray, mu: float) -> np.ndarray:
+    """F_m = sum over j <= m of exp(-mu*(t_m - t_j))*a_j, for nondecreasing t.
+
+    One plain cumsum of exp(mu*(t_j - r))*a_j per block of nodes within
+    _BLOCK_EXPONENT/mu of the block's first node r, plus one damped carry
+    from the previous block, so no factor overflows for any mu*L.
+    """
+    out = np.empty_like(a)
+    start = 0
+    while start < t.size:
+        r = t[start]
+        stop = int(np.searchsorted(t, r + _BLOCK_EXPONENT / mu, side="right"))
+        scale = np.exp(mu * (t[start:stop] - r))
+        carry = out[start - 1] * np.exp(-mu * (r - t[start - 1])) if start else 0.0
+        out[start:stop] = (carry + np.cumsum(scale * a[start:stop])) / scale
+        start = stop
+    return out
+
+
+def _sampled_convolutions(values: np.ndarray, x: np.ndarray, params: KernelParams):
+    """Simpson sums A(x) = sum_j gm(x, s_j)*w_j*p_j and B(x) likewise with g0.
+
+    p_j are the samples on their own uniform grid s_j; x is any positions in
+    [0, L].  Both kernels are semiseparable, g0(x, s) = min*(L - max)/L and
+    gm(x, s) = K*exp(-mu*|x - s|)*P(min)*Q(max) with P(t) = -expm1(-2 mu t),
+    Q(t) = P(L - t), K = 1/(2 mu P(L)), so each sum splits at x into running
+    sums over s_j <= x and s_j > x: O(len(x) + len(values)) time and memory.
+    """
+    L, mu = params.L, params.mu
+    ns = values.size
+    s = uniform_grid(L, ns)
+    v = simpson_weights(ns, L / (ns - 1)) * values
+
+    def P(t):
+        return -np.expm1(-2.0 * mu * t)
+
+    # s[lo] <= x < s[lo + 1]; the suffix index clipped to ns - 1 adds zero.
+    lo = np.searchsorted(s, x, side="right") - 1
+    hi = np.minimum(lo + 1, ns - 1)
+
+    u = L - s[::-1]
+    fwd = _damped_cumsum(s, P(s) * v, mu)
+    bwd = _damped_cumsum(u, P(u) * v[::-1], mu)[::-1]
+    A = (
+        P(L - x) * np.exp(-mu * (x - s[lo])) * fwd[lo]
+        + P(x) * np.exp(-mu * (s[hi] - x)) * bwd[hi]
+    ) / (2.0 * mu * P(L))
+
+    head = np.cumsum(s * v)
+    tail = np.cumsum(u * v[::-1])[::-1]
+    B = ((L - x) * head[lo] + x * tail[hi]) / L
+    return A, B
 
 
 def _convolve_term(term, x: np.ndarray, params: KernelParams):
@@ -143,7 +180,8 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams):
 
     Returns (A, B, intA, intB): A(x) solves -A'' + M*A = p with zero ends,
     B(x) solves -B'' = p with zero ends, and intA/intB are their integrals
-    over the span.  All closed forms; Sampled terms use Simpson quadrature.
+    over the span.  Analytic terms are closed forms; Sampled terms are Simpson
+    sums over the samples (O(n), see _sampled_convolutions) and then over x.
     """
     M, L, mu, muL = params.M, params.L, params.mu, params.muL
 
@@ -205,16 +243,9 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams):
         return A, B, intA, intB
 
     if isinstance(term, Sampled):
-        ns = len(term.values)
-        p_s = np.asarray(term.values)
-        w = simpson_weights(ns, L / (ns - 1))
-        wp = w * p_s
-        A = _gm_matrix(M, L, x.size, ns) @ wp
-        B = _g0_matrix(L, x.size, ns) @ wp
+        A, B = _sampled_convolutions(term.values, x, params)
         wx = simpson_weights(x.size, L / (x.size - 1))
-        intA = float(wx @ A)
-        intB = float(wx @ B)
-        return A, B, intA, intB
+        return A, B, float(wx @ A), float(wx @ B)
 
     raise TypeError(f"unsupported load term {type(term).__name__}")
 

@@ -96,28 +96,30 @@ class SinhTerm:
         return SinhTerm(self.coef * factor, self.rate)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sampled:
     """Load given by uniform samples over [0, L]; piecewise-linear in between.
 
+    The samples are held as a read-only float64 array (a copy of the input).
     The sample count must be odd and at least 3 so the values can also be
     integrated with Simpson weights on their native grid.
     """
 
-    values: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 3 or len(vals) % 2 == 0:
-            raise ValueError(f"sample count must be odd and >= 3, got {len(vals)}")
+        vals = np.array(self.values, dtype=np.float64)
+        if vals.ndim != 1 or vals.size < 3 or vals.size % 2 == 0:
+            raise ValueError(f"sample count must be odd and >= 3, got shape {vals.shape}")
+        vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
     def evaluate(self, x, length: float):
-        xs = np.linspace(0.0, length, len(self.values))
-        return np.interp(np.asarray(x, dtype=float), xs, np.asarray(self.values))
+        xs = np.linspace(0.0, length, self.values.size)
+        return np.interp(np.asarray(x, dtype=float), xs, self.values)
 
     def scaled(self, factor: float) -> "Sampled":
-        return Sampled(tuple(v * factor for v in self.values))
+        return Sampled(self.values * factor)
 
 
 LoadTerm = Union[Constant, Affine, SineHalfWave, Cubic, SinhTerm, Sampled]

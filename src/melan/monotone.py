@@ -32,7 +32,8 @@ from .errors import (
 )
 from .linear import GridSolution, LinearProblem, solve_linear
 from .loads import LoadSpec, Sampled
-from .quadrature import integrate, uniform_grid
+# Unused here, but perfbench/tracer.py wraps melan.monotone.integrate.
+from .quadrature import integrate, uniform_grid  # noqa: F401
 
 __all__ = [
     "MelanProblem",
@@ -42,7 +43,6 @@ __all__ = [
     "MonotoneVerdict",
     "ZeroShape",
     "SineShape",
-    "SampledShape",
     "make_sine_pair",
     "verify_lower",
     "verify_upper",
@@ -232,51 +232,6 @@ class SineShape:
         return 2.0 * self.amplitude * length / np.pi
 
 
-@dataclass(frozen=True)
-class SampledShape:
-    """A candidate bound given by uniform samples; derivatives by differences.
-
-    Finite differencing amplifies sample noise by 1/h**2 and 1/h**4, so
-    verification against a sampled candidate is only as sharp as its data.
-    """
-
-    values: tuple
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) < 7 or len(vals) % 2 == 0:
-            raise ValueError(f"sample count must be odd and >= 7, got {len(vals)}")
-        object.__setattr__(self, "values", vals)
-
-    def _native(self, length):
-        return np.linspace(0.0, length, len(self.values))
-
-    def evaluate(self, x, length):
-        return np.interp(np.asarray(x, dtype=float), self._native(length), self.values)
-
-    def _diff2(self, v, h):
-        out = np.empty_like(v)
-        out[1:-1] = (v[:-2] - 2.0 * v[1:-1] + v[2:]) / (h * h)
-        out[0] = out[1]
-        out[-1] = out[-2]
-        return out
-
-    def second(self, x, length):
-        v = np.asarray(self.values)
-        h = length / (len(self.values) - 1)
-        return np.interp(np.asarray(x, dtype=float), self._native(length), self._diff2(v, h))
-
-    def fourth(self, x, length):
-        v = np.asarray(self.values)
-        h = length / (len(self.values) - 1)
-        return np.interp(
-            np.asarray(x, dtype=float), self._native(length), self._diff2(self._diff2(v, h), h)
-        )
-
-    def integral(self, length) -> float:
-        return integrate(np.asarray(self.values), length / (len(self.values) - 1))
-
-
 def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate y'''' - (a + b*I)*y'' + c*I for a candidate shape on a grid."""
     I = shape.integral(problem.L)
@@ -384,7 +339,7 @@ def iterate_once(
         + (pair.N - problem.c) * I
     )
     linear = LinearProblem(
-        M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(tuple(F)),))
+        M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),))
     )
     sol: GridSolution = solve_linear(linear, grid_points=grid_points)
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)

@@ -2,12 +2,15 @@
 
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import melan
 from melan.cli import main
 
 
@@ -256,17 +259,57 @@ def test_unknown_load_type_exits_one(tmp_path):
     assert main(["solve-linear", "--config", cfg, "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--grid", "1000"],
+        ["--grid", "3"],
+        ["--tol", "-1"],
+        ["--tol", "inf"],
+        ["--max-iter", "0"],
+    ],
+    ids=["even-grid", "tiny-grid", "negative-tol", "infinite-tol", "zero-max-iter"],
+)
+def test_bad_numerics_exit_one(tmp_path, flags):
+    rc = main(["solve-linear", "--config", "example_2_1", *flags, "--out", str(tmp_path)])
+    assert rc == 1
+    assert not (tmp_path / "solution.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        {"type": "constant", "value": float("nan")},
+        {"type": "sampled", "values": [0.0, float("inf"), 0.0]},
+    ],
+    ids=["nan-number", "infinite-sample"],
+)
+def test_non_finite_load_exits_one(tmp_path, term):
+    # Python's json reads NaN and Infinity; they must not reach the solver
+    cfg = write_config(
+        tmp_path / "nonfinite.json",
+        {"problem": {"M": 1.0, "N": 1.0, "L": 2.0}, "load": [term]},
+    )
+    assert main(["solve-linear", "--config", cfg, "--out", str(tmp_path)]) == 1
+    assert not (tmp_path / "solution.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 
 
 def test_module_entry_point(tmp_path):
+    # The child runs in tmp_path, so the package path must be absolute.
+    src = str(Path(melan.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "melan.cli", "solve-linear", "--config",
          "example_2_1", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
+        env=env,
     )
     assert proc.returncode == 0
     assert "solve-linear: wrote" in proc.stdout

@@ -8,6 +8,8 @@ The two named benchmarks used throughout:
   the pure constant-load closed form y = p*Psi(x)/(1 + N*zeta).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,7 @@ from melan import (
     zeta,
 )
 from melan.errors import NotContractive, SingularResonance
+from melan.linear import _convolve_term
 from melan.quadrature import simpson_weights, uniform_grid
 
 C0 = 2.75 - 6.0 * np.tanh(0.5)  # affine intercept of benchmark A
@@ -252,6 +255,71 @@ def test_sampled_load_matches_analytic_term():
     assert np.max(np.abs(ss.y - sa.y)) < 1e-10 * np.max(np.abs(sa.y))
     # piecewise-linear interpolation leaves its mark on y'' at the 1e-5 level
     assert np.max(np.abs(ss.ypp - sa.ypp)) < 1e-5 * np.max(np.abs(sa.ypp))
+
+
+def dense_simpson_convolutions(values, x, M, L):
+    """Reference: the Simpson sums as dense kernel-matrix products."""
+    mu = np.sqrt(M)
+    ns = len(values)
+    s = uniform_grid(L, ns)[None, :]
+    lo = np.minimum(x[:, None], s)
+    hi = np.maximum(x[:, None], s)
+    num = np.expm1(-2.0 * mu * lo) * np.expm1(-2.0 * mu * (L - hi))
+    den = -2.0 * np.expm1(-2.0 * mu * L)
+    gm = np.exp(mu * (lo + (L - hi)) - mu * L) * num / den / mu
+    g0 = lo * (L - hi) / L
+    wp = simpson_weights(ns, L / (ns - 1)) * np.asarray(values)
+    return gm @ wp, g0 @ wp
+
+
+@pytest.mark.parametrize("muL", [1e-4, 0.66, 2.0, 700.0, 2000.0])
+@pytest.mark.parametrize(
+    "ns, positions",
+    [(501, "grid"), (31, "grid"), (31, "shuffled")],
+    ids=["501-on-501", "31-on-501", "31-on-37-shuffled"],
+)
+def test_sampled_convolution_matches_dense_simpson_sum(muL, ns, positions):
+    L = 3.0
+    M = (muL / L) ** 2
+    rng = np.random.default_rng(ns)
+    s = uniform_grid(L, ns)
+    values = 1.0 + np.sin(3.0 * s) + 0.3 * rng.standard_normal(ns)
+    if positions == "grid":
+        x = uniform_grid(L, 501)
+    else:
+        x = rng.permutation(np.concatenate(([0.0, L], rng.uniform(0.0, L, 35))))
+    A, B, _, _ = _convolve_term(Sampled(values), x, KernelParams(M, L))
+    A_ref, B_ref = dense_simpson_convolutions(values, x, M, L)
+    assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
+    assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
+
+
+def test_sampled_solve_memory_is_linear_in_grid():
+    # A dense n-by-n kernel matrix at 16001 points alone would take 2 GB.
+    n = 16001
+    xg = uniform_grid(100.0, n)
+    load = LoadSpec((Sampled(1.0 + np.sin(np.pi * xg / 100.0)),))
+    pr = LinearProblem(M=0.05, N=1e-6, L=100.0, load=load)
+    tracemalloc.start()
+    try:
+        solve_linear(pr, grid_points=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
+def test_sampled_holds_a_read_only_float_copy():
+    source = np.array([0.0, 1.0, 2.0])
+    term = Sampled(source)
+    source[1] = 5.0
+    assert term.values.dtype == np.float64
+    assert term.values[1] == 1.0
+    with pytest.raises(ValueError):
+        term.values[0] = 1.0
+    assert np.array_equal(term.scaled(2.0).values, [0.0, 2.0, 4.0])
+    with pytest.raises(ValueError, match="odd"):
+        Sampled([0.0, 1.0])
 
 
 def test_empty_load_spec_rejected():
