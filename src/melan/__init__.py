@@ -37,6 +37,7 @@ from .errors import (
     MissingCableLength,
     MonotonicityViolation,
     NewtonDiverged,
+    NonFiniteSolution,
     NotApplicable,
     NotContractive,
     NotConverged,
@@ -99,6 +100,7 @@ __all__ = [
     "MelanError",
     "ConfigError",
     "SingularResonance",
+    "NonFiniteSolution",
     "NotContractive",
     "InvalidPair",
     "MonotonicityViolation",

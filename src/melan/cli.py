@@ -26,10 +26,10 @@ from typing import List, Optional
 
 import numpy as np
 
-from .bridge import BridgeParams, applicability, solve_bridge
+from .bridge import ApplicabilityReport, BridgeParams, applicability, solve_bridge
 from .criteria import ConditionReport
 from .errors import ConfigError, EnvelopeViolation, MelanError, NotApplicable
-from .linear import GridSolution, LinearProblem, residual, solve_linear
+from .linear import LinearProblem, residual, solve_linear
 from .loads import Affine, Constant, Cubic, LoadSpec, Sampled, SineHalfWave, SinhTerm
 from .monotone import MelanProblem, MonotoneVerdict, iterate_melan
 
@@ -119,20 +119,15 @@ def _problem_block(config: dict) -> dict:
 
 def _bridge_params(config: dict) -> BridgeParams:
     block = _problem_block(config)
-    try:
-        return BridgeParams(
-            L=_number(block, "L", "problem"),
-            EI=_number(block, "EI", "problem"),
-            EcAc=_number(block, "EcAc", "problem"),
-            n=_number(block, "n", "problem", required=False),
-            H=_number(block, "H", "problem", required=False),
-            q=_number(block, "q", "problem", required=False),
-            Lc=_number(block, "Lc", "problem", required=False),
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise _fail("problem", str(exc)) from exc
+    return BridgeParams(
+        L=_number(block, "L", "problem"),
+        EI=_number(block, "EI", "problem"),
+        EcAc=_number(block, "EcAc", "problem"),
+        n=_number(block, "n", "problem", required=False),
+        H=_number(block, "H", "problem", required=False),
+        q=_number(block, "q", "problem", required=False),
+        Lc=_number(block, "Lc", "problem", required=False),
+    )
 
 
 def _resolve_config_path(name: str) -> str:
@@ -178,16 +173,23 @@ def _write_curve(path: Path, grid: np.ndarray, y: np.ndarray, ypp: np.ndarray) -
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, sol: GridSolution) -> None:
-    _write_curve(path, sol.grid, sol.y, sol.ypp)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _report_dict(report: ConditionReport) -> dict:
-    return asdict(report)
+def _applicability_payload(report: ApplicabilityReport) -> dict:
+    """The blocks report.json shares between check and bridge-report."""
+    return {
+        "coefficients": {"a": report.a, "b": report.b, "c": report.c},
+        "physical": {
+            "n": report.n, "q_over_H": report.qh, "H": report.H,
+            "q": report.q, "Lc": report.Lc,
+        },
+        "lambda": report.lam,
+        "envelope": {"sine": report.envelope_sine, "const": report.envelope_const},
+        "conditions": [asdict(r) for r in report.reports],
+        "verdict": report.verdict,
+    }
 
 
 def _print_reports(reports: List[ConditionReport], stream) -> None:
@@ -256,7 +258,7 @@ def _run_solve_linear(config: dict, args) -> int:
 
     sol = solve_linear(problem, grid_points=num["grid_points"])
     res = residual(sol, problem)
-    _write_csv(out / "solution.csv", sol)
+    _write_curve(out / "solution.csv", sol.grid, sol.y, sol.ypp)
     summary = {
         "M": problem.M,
         "N": problem.N,
@@ -283,19 +285,8 @@ def _run_check(config: dict, args) -> int:
     out = _out_dir(config, args)
     report = applicability(bp)
 
-    payload = {
-        "coefficients": {"a": report.a, "b": report.b, "c": report.c},
-        "physical": {
-            "n": report.n, "q_over_H": report.qh, "H": report.H,
-            "q": report.q, "Lc": report.Lc,
-        },
-        "lambda": report.lam,
-        "M": report.M,
-        "N": report.N,
-        "envelope": {"sine": report.envelope_sine, "const": report.envelope_const},
-        "conditions": [_report_dict(r) for r in report.reports],
-        "verdict": report.verdict,
-    }
+    payload = _applicability_payload(report)
+    payload.update(M=report.M, N=report.N)
     _write_json(out / "report.json", payload)
 
     print(f"check: verdict {report.verdict}")
@@ -334,8 +325,8 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
         "gaps": gaps,
         "lower_maxima": maxima(verdict.lower),
         "upper_maxima": maxima(verdict.upper),
-        "positivity": _report_dict(verdict.positivity),
-        "uniqueness": _report_dict(verdict.uniqueness),
+        "positivity": asdict(verdict.positivity),
+        "uniqueness": asdict(verdict.uniqueness),
         "warnings": list(verdict.warnings),
     }
 
@@ -396,22 +387,15 @@ def _run_bridge_report(config: dict, args) -> int:
         force=num["force"],
     )
     report = result.report
-    payload = {
-        "coefficients": {"a": report.a, "b": report.b, "c": report.c},
-        "physical": {
-            "n": report.n, "q_over_H": report.qh, "H": report.H,
-            "q": report.q, "Lc": report.Lc,
-        },
-        "lambda": report.lam,
-        "envelope": {"sine": report.envelope_sine, "const": report.envelope_const},
-        "conditions": [_report_dict(r) for r in report.reports],
-        "verdict": report.verdict,
-        "additional_tension_kN": result.h_w,
-        "max_deflection_m": float(np.max(np.abs(result.deflection.y))),
-        "iteration": _trace_payload(result.monotone),
-    }
+    payload = _applicability_payload(report)
+    payload.update(
+        additional_tension_kN=result.h_w,
+        max_deflection_m=float(np.max(np.abs(result.deflection.y))),
+        iteration=_trace_payload(result.monotone),
+    )
     _write_json(out / "report.json", payload)
-    _write_csv(out / "deflection.csv", result.deflection)
+    deflection = result.deflection
+    _write_curve(out / "deflection.csv", deflection.grid, deflection.y, deflection.ypp)
     _write_trace_curves(out, result.monotone)
 
     print(f"bridge-report: verdict {report.verdict}")

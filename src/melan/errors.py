@@ -24,6 +24,10 @@ class SingularResonance(MelanError):
     """
 
 
+class NonFiniteSolution(MelanError):
+    """A solver produced NaN or infinite values, e.g. from an overflowing load term."""
+
+
 class NotContractive(MelanError):
     """|N*zeta| >= 1, so the fixed-point iteration has no convergence guarantee."""
 

@@ -22,11 +22,12 @@ differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotContractive, SingularResonance
+from .errors import NonFiniteSolution, NotContractive, SingularResonance
 from .kernel import (
     KernelParams,
     _gap_to_tanh,
@@ -301,7 +302,8 @@ def solve_linear(problem: LinearProblem, grid_points: int = 1001) -> GridSolutio
     """Solve the linear model on a uniform grid of `grid_points` nodes.
 
     Raises SingularResonance when 1 + N*zeta vanishes to within roundoff,
-    in which case no finite solution exists for generic loads.
+    in which case no finite solution exists for generic loads, and
+    NonFiniteSolution when any output is NaN or infinite.
     """
     params = KernelParams(problem.M, problem.L)
     x = uniform_grid(problem.L, grid_points)
@@ -321,6 +323,11 @@ def solve_linear(problem: LinearProblem, grid_points: int = 1001) -> GridSolutio
     # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
     y[0] = y[-1] = 0.0
     ypp[0] = ypp[-1] = 0.0
+    if not (math.isfinite(integral_y) and np.isfinite(y).all() and np.isfinite(ypp).all()):
+        raise NonFiniteSolution(
+            f"solution is not finite (integral = {integral_y:.6g}); a load term"
+            " may overflow over the span"
+        )
 
     meta = SolutionMeta(
         M=problem.M,

@@ -22,7 +22,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .criteria import ConditionReport, check_positivity, check_uniqueness, contraction_rho
+from .criteria import (
+    ConditionReport,
+    _report,
+    check_positivity,
+    check_uniqueness,
+    contraction_rho,
+)
 from .errors import (
     BoundUnavailable,
     InvalidPair,
@@ -242,36 +248,28 @@ def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
     )
 
 
-def verify_lower(
-    shape, problem: MelanProblem, grid_points: int = 1001, tol: Optional[float] = None
-) -> ConditionReport:
+def _verify_bound(name: str, sign: float, shape, problem: MelanProblem,
+                  grid_points: int) -> ConditionReport:
+    """Worst interior value of sign*(model(shape) - p) against 1e-9*max(1, |p|)."""
+    x = uniform_grid(problem.L, grid_points)
+    p = problem.load.evaluate(x, problem.L)
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(p))))
+    defect = sign * (_apply_model(shape, problem, x) - p)
+    return _report(name, float(np.max(defect[2:-2])), tol)
+
+
+def verify_lower(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
     """Check that a candidate is a lower bounding function for the model.
 
     The defining inequality is model(shape) <= p away from the ends; the
     report's lhs is the worst interior excess of model(shape) over p.
     """
-    x = uniform_grid(problem.L, grid_points)
-    p = problem.load.evaluate(x, problem.L)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(p))))
-    defect = _apply_model(shape, problem, x) - p
-    worst = float(np.max(defect[2:-2]))
-    satisfied = worst <= tol
-    return ConditionReport("lower-solution", worst, float(tol), satisfied, float(tol - worst))
+    return _verify_bound("lower-solution", 1.0, shape, problem, grid_points)
 
 
-def verify_upper(
-    shape, problem: MelanProblem, grid_points: int = 1001, tol: Optional[float] = None
-) -> ConditionReport:
+def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
     """Check that a candidate is an upper bounding function (model(shape) >= p)."""
-    x = uniform_grid(problem.L, grid_points)
-    p = problem.load.evaluate(x, problem.L)
-    if tol is None:
-        tol = 1e-9 * max(1.0, float(np.max(np.abs(p))))
-    defect = p - _apply_model(shape, problem, x)
-    worst = float(np.max(defect[2:-2]))
-    satisfied = worst <= tol
-    return ConditionReport("upper-solution", worst, float(tol), satisfied, float(tol - worst))
+    return _verify_bound("upper-solution", -1.0, shape, problem, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +310,7 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     )
 
 
-def iterate_once(
-    prev: Iterate,
-    pair: BoundPair,
-    problem: MelanProblem,
-    grid_points: Optional[int] = None,
-) -> Iterate:
+def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Iterate:
     """One sweep of the iteration map applied to a single side of the bracket.
 
     Builds the frozen-coefficient right-hand side
@@ -329,8 +322,6 @@ def iterate_once(
     sides on an identical numerical footing, which the ordering checks
     rely on.
     """
-    if grid_points is None:
-        grid_points = len(pair.grid)
     x = pair.grid
     I = prev.integral
     F = (
@@ -341,14 +332,15 @@ def iterate_once(
     linear = LinearProblem(
         M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),))
     )
-    sol: GridSolution = solve_linear(linear, grid_points=grid_points)
+    sol: GridSolution = solve_linear(linear, grid_points=len(x))
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
 
-def _verify_pair(pair: BoundPair, problem: MelanProblem, grid_points: int,
-                 strict: bool, warnings: List[str]) -> None:
+def _verify_pair(pair: BoundPair, problem: MelanProblem, strict: bool,
+                 warnings: List[str]) -> None:
     """Run the initial-bound checks, raising or warning per `strict`."""
     pair.validate(problem)
+    grid_points = len(pair.grid)
     reports = []
     if pair.lower_shape is not None:
         reports.append(verify_lower(pair.lower_shape, problem, grid_points))
@@ -373,7 +365,6 @@ def _verify_pair(pair: BoundPair, problem: MelanProblem, grid_points: int,
 def run_monotone(
     problem: MelanProblem,
     pair: BoundPair,
-    grid_points: Optional[int] = None,
     max_iter: int = 100,
     tol: Optional[float] = None,
     strict: bool = True,
@@ -387,8 +378,6 @@ def run_monotone(
     attached).  With strict=False those conditions downgrade to warnings,
     the run continues, and the result is marked uncertified.
     """
-    if grid_points is None:
-        grid_points = len(pair.grid)
     warnings: List[str] = []
 
     positivity = check_positivity(pair.M, pair.N, problem.L)
@@ -401,7 +390,7 @@ def run_monotone(
             raise NotApplicable(msg)
         warnings.append(msg)
 
-    _verify_pair(pair, problem, grid_points, strict, warnings)
+    _verify_pair(pair, problem, strict, warnings)
 
     uniqueness = check_uniqueness(
         problem.a, problem.b, problem.c, pair.M, pair.N, problem.L,
@@ -433,8 +422,8 @@ def run_monotone(
 
     while status == "max-iters" and iterations < max_iter:
         n = iterations + 1
-        new_alpha = iterate_once(alphas[-1], pair, problem, grid_points)
-        new_beta = iterate_once(betas[-1], pair, problem, grid_points)
+        new_alpha = iterate_once(alphas[-1], pair, problem)
+        new_beta = iterate_once(betas[-1], pair, problem)
 
         checks = [
             ("lower iterates must not descend", np.max(alphas[-1].y - new_alpha.y), tol_y),
@@ -537,6 +526,4 @@ def iterate_melan(
     if lam is None:
         lam = problem.L / 100.0
     pair = make_sine_pair(problem, lam, grid_points)
-    return run_monotone(
-        problem, pair, grid_points=grid_points, max_iter=max_iter, tol=tol, strict=strict
-    )
+    return run_monotone(problem, pair, max_iter=max_iter, tol=tol, strict=strict)

@@ -294,6 +294,21 @@ def test_non_finite_load_exits_one(tmp_path, term):
     assert not (tmp_path / "solution.csv").exists()
 
 
+def test_non_finite_solution_exits_three(tmp_path):
+    # sinh(rate*L) overflows; the solver must fail rather than write NaN rows
+    cfg = write_config(
+        tmp_path / "overflow.json",
+        {
+            "problem": {"M": 0.01, "N": 0.0, "L": 100.0},
+            "load": [{"type": "sinh", "coef": 1.0, "rate": 8.0}],
+        },
+    )
+    with np.errstate(all="ignore"):
+        rc = main(["solve-linear", "--config", cfg, "--out", str(tmp_path)])
+    assert rc == 3
+    assert not (tmp_path / "solution.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # console entry point
 

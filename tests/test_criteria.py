@@ -7,12 +7,21 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from melan import (
+    BridgeParams,
+    Constant,
+    LoadSpec,
+    MelanProblem,
+    SineShape,
+    ZeroShape,
+    applicability,
     check_positivity,
     check_sine_conditions,
     check_smallness,
     check_uniqueness,
     contraction_rho,
     sigma,
+    verify_lower,
+    verify_upper,
     xi,
 )
 
@@ -91,12 +100,17 @@ def test_positivity_standard_instance():
 
 
 def test_positivity_rhs_uses_sigma():
-    # rhs = 4 M sigma(sqrt(M) L) / L**3, equal to 4 x^2 sigma(x) / L^5
-    M, L = 0.7, 3.0
-    rep = check_positivity(M, 0.0, L)
-    x = np.sqrt(M) * L
-    assert rep.rhs == pytest.approx(4.0 * M * sigma(x) / L ** 3, rel=1e-12)
-    assert rep.rhs == pytest.approx(4.0 * x ** 2 * sigma(x) / L ** 5, rel=1e-12)
+    # rhs = 4 M sigma(sqrt(M) L) / L**3, equal to 4 x^2 sigma(x) / L^5 on the
+    # series (x < 0.05), direct (x <= 650) and exp-factored (x > 650) branches
+    xs = (1e-3, 0.02, 0.049, 0.051, 0.5, 3.0, 32.0, 300.0, 650.0, 651.0, 700.0)
+    cases = [(0.7, 3.0)] + [((x / L) ** 2, L) for L in (1.0, 2.0, 100.0, 460.0) for x in xs]
+    for M, L in cases:
+        rep = check_positivity(M, 0.0, L)
+        x = np.sqrt(M) * L
+        scaled = (4.0 / L ** 5) * x * x * sigma(x)
+        assert rep.rhs > 0.0
+        assert rep.rhs == pytest.approx(4.0 * M * sigma(x) / L ** 3, rel=1e-12)
+        assert abs(rep.rhs - scaled) <= 1e-12 * max(abs(rep.rhs), abs(scaled))
 
 
 def test_positivity_margin_sign_matches_verdict():
@@ -194,7 +208,25 @@ def test_sine_uniqueness_agrees_with_direct_smallness_form(a, b, c, L, lam):
 
 
 def test_condition_report_margin_definition():
-    rep = check_positivity(0.2, 1e-3, 2.0)
-    expected = (rep.rhs - rep.lhs) / max(abs(rep.rhs), 1e-300)
-    assert rep.margin == pytest.approx(expected, rel=1e-12)
-    assert rep.strict is False
+    # every report, whichever module builds it, carries the relative margin
+    up = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.1),)))
+    down = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(-0.1),)))
+    bridges = (
+        BridgeParams(L=100.0, EI=4.557e8, EcAc=4121700.0, Lc=103.2, n=1.0 / 9.0, H=19850.4),
+        BridgeParams(L=460.0, EI=5.7e7, EcAc=3.6e7, Lc=472.0, n=0.1, H=97750.0),
+    )
+    reports = [
+        check_positivity(0.2, 1e-3, 2.0),
+        verify_lower(ZeroShape(), up),
+        verify_lower(ZeroShape(), down),
+        verify_upper(SineShape(np.pi / 4.0), up),
+        verify_upper(ZeroShape(), up),
+    ]
+    for bp in bridges:
+        reports.extend(applicability(bp).reports)
+    assert {r.satisfied for r in reports} == {True, False}
+    for rep in reports:
+        expected = (rep.rhs - rep.lhs) / max(abs(rep.rhs), 1e-300)
+        assert rep.margin == pytest.approx(expected, rel=1e-12), rep.name
+        assert rep.satisfied == (rep.margin > 0.0 if rep.strict else rep.margin >= 0.0)
+    assert reports[0].strict is False
