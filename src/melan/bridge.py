@@ -311,7 +311,9 @@ def _envelope_points(live_load: LoadSpec, L: float) -> np.ndarray:
 
     Analytic terms are low-order and smooth, so a dense uniform grid is a
     faithful proxy; sampled terms are additionally checked at their own
-    nodes and the midpoints between them.
+    nodes and the midpoints between them.  Only extremes over the points
+    are taken, so they are neither sorted nor deduplicated (`np.unique`
+    would also import `numpy.ma` on a cold start).
     """
     pts = [uniform_grid(L, 1001)]
     for term in live_load.terms:
@@ -319,7 +321,7 @@ def _envelope_points(live_load: LoadSpec, L: float) -> np.ndarray:
             nodes = np.linspace(0.0, L, len(term.values))
             pts.append(nodes)
             pts.append(0.5 * (nodes[:-1] + nodes[1:]))
-    return np.unique(np.concatenate(pts))
+    return np.concatenate(pts)
 
 
 def solve_bridge(

@@ -226,21 +226,28 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams):
 
     if isinstance(term, SinhTerm):
         coef, r = term.coef, term.rate
-        if abs(r - mu) <= _RESONANCE_RTOL * mu:
-            # Resonant particular solution of -q'' + M q = coef*sinh(mu*x).
-            q = -coef * x * np.cosh(mu * x) / (2.0 * mu)
-            qL = -coef * L * np.cosh(muL) / (2.0 * mu)
-            int_q = -(coef / (2.0 * mu)) * (
-                L * np.sinh(muL) / mu - (np.cosh(muL) - 1.0) / mu**2
+        # Past rate*L of about 710 the closed form overflows.  That is reported
+        # as NonFiniteSolution below, without numpy's warnings on the way.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if abs(r - mu) <= _RESONANCE_RTOL * mu:
+                # Resonant particular solution of -q'' + M q = coef*sinh(mu*x).
+                q = -coef * x * np.cosh(mu * x) / (2.0 * mu)
+                qL = -coef * L * np.cosh(muL) / (2.0 * mu)
+                int_q = -(coef / (2.0 * mu)) * (
+                    L * np.sinh(muL) / mu - (np.cosh(muL) - 1.0) / mu**2
+                )
+            else:
+                q = coef * np.sinh(r * x) / (M - r * r)
+                qL = coef * np.sinh(r * L) / (M - r * r)
+                int_q = coef * (np.cosh(r * L) - 1.0) / (r * (M - r * r))
+            A = q - qL * sinh_frac(mu * x, muL)
+            B = coef * (x * np.sinh(r * L) / L - np.sinh(r * x)) / r**2
+            intA = int_q - qL * np.tanh(0.5 * muL) / mu
+            intB = coef * (L * np.sinh(r * L) / 2.0 - (np.cosh(r * L) - 1.0) / r) / r**2
+        if not (math.isfinite(intA) and math.isfinite(intB)):
+            raise NonFiniteSolution(
+                f"sinh load term (rate {r:.6g}) overflows over the span {L:.6g}"
             )
-        else:
-            q = coef * np.sinh(r * x) / (M - r * r)
-            qL = coef * np.sinh(r * L) / (M - r * r)
-            int_q = coef * (np.cosh(r * L) - 1.0) / (r * (M - r * r))
-        A = q - qL * sinh_frac(mu * x, muL)
-        B = coef * (x * np.sinh(r * L) / L - np.sinh(r * x)) / r**2
-        intA = int_q - qL * np.tanh(0.5 * muL) / mu
-        intB = coef * (L * np.sinh(r * L) / 2.0 - (np.cosh(r * L) - 1.0) / r) / r**2
         return A, B, intA, intB
 
     if isinstance(term, Sampled):

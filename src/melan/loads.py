@@ -3,11 +3,13 @@
 A load is a sum of terms, each of a shape the linear solver can convolve
 with the Green kernel in closed form (constants, affine ramps, a half-wave
 sine, a cubic, hyperbolic sines) plus a catch-all sampled term handled by
-quadrature.  Terms are immutable; scaling returns new objects.
+quadrature.  Terms are immutable; scaling returns new objects.  The
+closed-form terms reject NaN and infinite parameters at construction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,8 +27,17 @@ __all__ = [
 ]
 
 
+class _FiniteTerm:
+    """Base of the closed-form terms: every field must be a finite number."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
-class Constant:
+class Constant(_FiniteTerm):
     """Uniform load p(x) = value."""
 
     value: float
@@ -39,7 +50,7 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class Affine:
+class Affine(_FiniteTerm):
     """Linear ramp p(x) = c0 + c1*x."""
 
     c0: float
@@ -53,7 +64,7 @@ class Affine:
 
 
 @dataclass(frozen=True)
-class SineHalfWave:
+class SineHalfWave(_FiniteTerm):
     """Half-wave p(x) = amplitude*sin(pi*x/L), vanishing at both ends."""
 
     amplitude: float
@@ -66,7 +77,7 @@ class SineHalfWave:
 
 
 @dataclass(frozen=True)
-class Cubic:
+class Cubic(_FiniteTerm):
     """Pure cubic p(x) = c3*x**3."""
 
     c3: float
@@ -79,13 +90,14 @@ class Cubic:
 
 
 @dataclass(frozen=True)
-class SinhTerm:
+class SinhTerm(_FiniteTerm):
     """Hyperbolic term p(x) = coef*sinh(rate*x); rate must be positive."""
 
     coef: float
     rate: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.rate > 0.0):
             raise ValueError(f"rate must be positive, got {self.rate}")
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NewtonDiverged, SingularSystem
 from .linear import GridSolution, LinearProblem, SolutionMeta
@@ -99,6 +98,10 @@ def _trapezoid_row(m: int, h: float) -> np.ndarray:
 
 def _rank_one_solve(ab: np.ndarray, rhs: np.ndarray, u: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Solve (K + u t^T) y = rhs with K given in banded form."""
+    # Imported here so that `import melan` (and every CLI run) does not load
+    # scipy for a solver only the oracle uses.
+    from scipy.linalg import solve_banded
+
     try:
         z = solve_banded((2, 2), ab, rhs)
         w = solve_banded((2, 2), ab, u)

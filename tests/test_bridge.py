@@ -17,6 +17,7 @@ from melan import (
     Constant,
     LinearProblem,
     LoadSpec,
+    Sampled,
     applicability,
     cable_length,
     check_sine_conditions,
@@ -313,6 +314,20 @@ def test_excessive_load_is_refused():
 def test_negative_load_is_refused():
     with pytest.raises(EnvelopeViolation):
         solve_bridge(span_100(), LoadSpec((Constant(-5.0),)), grid_points=201)
+
+
+def test_sampled_load_is_checked_at_its_own_nodes():
+    # A spike at the node x = L/6, which is not on the 1001-point check grid,
+    # just above the envelope there; the nearest grid points stay below it.
+    bp = span_100()
+    rep = applicability(bp)
+    bound = rep.envelope_sine * np.sin(np.pi / 6.0) + rep.envelope_const
+    spike = Sampled([0.0, bound * (1.0 + 1e-4), 0.0, 0.0, 0.0, 0.0, 0.0])
+    with pytest.raises(EnvelopeViolation):
+        solve_bridge(bp, LoadSpec((spike,)), grid_points=201)
+    x = np.linspace(0.0, bp.L, 1001)
+    p = spike.evaluate(x, bp.L)
+    assert np.all(p <= rep.envelope_sine * np.sin(np.pi * x / bp.L) + rep.envelope_const)
 
 
 def test_forced_excessive_load_runs_uncertified():

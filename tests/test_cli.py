@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import melan
-from melan.cli import main
+from melan.cli import _write_curve, main
 
 
 def read_csv(path):
@@ -58,6 +58,29 @@ def test_solve_linear_deterministic_output(tmp_path):
     assert main(["solve-linear", "--config", "example_2_1", "--out", str(a_dir)]) == 0
     assert main(["solve-linear", "--config", "example_2_1", "--out", str(b_dir)]) == 0
     assert (a_dir / "solution.csv").read_bytes() == (b_dir / "solution.csv").read_bytes()
+
+
+def test_write_curve_bytes_match_per_value_format(tmp_path):
+    rng = np.random.default_rng(17)
+    special = np.array(
+        [0.0, -0.0, 1.0, -3.0, 2.0**53, 1e16, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1 / 3]
+    )
+    grid = np.concatenate([special, rng.uniform(0.0, 100.0, 50)])
+    y = np.concatenate(
+        [special[::-1], rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50)]
+    )
+    ypp = np.concatenate([np.roll(special, 5), rng.standard_normal(50)])
+    path = tmp_path / "curve.csv"
+    _write_curve(path, grid, y, ypp)
+
+    rows = [f"{xv:.17g},{yv:.17g},{pv:.17g}" for xv, yv, pv in zip(grid, y, ypp)]
+    expected = "\n".join(["x,y,y_second_derivative"] + rows) + "\n"
+    assert path.read_bytes() == expected.encode()
+    # Every field reads back as the exact float, sign of zero included.
+    header, fields = read_csv(path)
+    assert header == ["x", "y", "y_second_derivative"]
+    parsed = np.array(fields, dtype=float)
+    assert parsed.tobytes() == np.column_stack((grid, y, ypp)).tobytes()
 
 
 def test_solve_linear_empty_load(tmp_path):
@@ -313,19 +336,50 @@ def test_non_finite_solution_exits_three(tmp_path):
 # console entry point
 
 
-def test_module_entry_point(tmp_path):
-    # The child runs in tmp_path, so the package path must be absolute.
+def child_env():
+    # Children run in tmp_path, so the package path must be absolute.
     src = str(Path(melan.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "melan.cli", "solve-linear", "--config",
          "example_2_1", "--out", str(tmp_path)],
         capture_output=True,
         text=True,
         cwd=str(tmp_path),
-        env=env,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert "solve-linear: wrote" in proc.stdout
     assert (tmp_path / "summary.json").exists()
+
+
+_IMPORT_GUARD = """
+import sys
+import melan.cli
+assert "scipy" not in sys.modules, "import melan.cli loaded scipy"
+import melan
+assert "scipy" not in sys.modules, "import melan loaded scipy"
+from melan import *
+problem = LinearProblem(M=1.0, N=1.0, L=2.0, load=LoadSpec((Constant(-5.0),)))
+sol = fd_solve_linear(problem, FdConfig(points=101))
+assert "scipy.linalg" in sys.modules, "fd_solve_linear ran without scipy.linalg"
+print(repr(float(abs(sol.y).max())))
+"""
+
+
+def test_scipy_loads_only_when_the_oracle_runs(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    # Benchmark B peaks at 0.62215...; the 101-point FD oracle is O(h^2) close.
+    assert float(proc.stdout) == pytest.approx(0.6221525998101097, rel=1e-2)

@@ -9,6 +9,7 @@ The two named benchmarks used throughout:
 """
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,11 +19,13 @@ from hypothesis import strategies as st
 from melan import (
     Affine,
     Constant,
+    Cubic,
     KernelParams,
     LinearProblem,
     LoadSpec,
     Sampled,
     SineHalfWave,
+    SinhTerm,
     gp_convolution,
     green_g,
     green_g0,
@@ -33,7 +36,7 @@ from melan import (
     solve_linear,
     zeta,
 )
-from melan.errors import NotContractive, SingularResonance
+from melan.errors import NonFiniteSolution, NotContractive, SingularResonance
 from melan.linear import _convolve_term
 from melan.quadrature import simpson_weights, uniform_grid
 
@@ -353,6 +356,39 @@ def test_singular_resonance_is_detected():
     pr = LinearProblem(M=1.0, N=-1.0 / z, L=1.0, load=LoadSpec((Constant(1.0),)))
     with pytest.raises(SingularResonance):
         solve_linear(pr, grid_points=101)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [solve_linear, load_moment_g, lambda pr: gp_convolution(50.0, pr)],
+    ids=["solve_linear", "load_moment_g", "gp_convolution"],
+)
+def test_sinh_overflow_raises_without_warnings(solve):
+    # rate*L = 800 > 710: sinh overflows; the raised error is the only signal.
+    pr = LinearProblem(M=0.01, N=0.0, L=100.0, load=LoadSpec((SinhTerm(1.0, 8.0),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution, match="sinh load term"):
+            solve(pr)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda v: Constant(v),
+        lambda v: Affine(v, 1.0),
+        lambda v: Affine(1.0, v),
+        lambda v: SineHalfWave(v),
+        lambda v: Cubic(v),
+        lambda v: SinhTerm(v, 1.0),
+        lambda v: SinhTerm(1.0, v),
+    ],
+    ids=["constant", "affine-c0", "affine-c1", "sine", "cubic", "sinh-coef", "sinh-rate"],
+)
+def test_non_finite_load_term_is_rejected(make, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        make(bad)
 
 
 def test_even_grid_is_rejected():
