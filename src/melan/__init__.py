@@ -57,6 +57,7 @@ from .kernel import (
 )
 from .linear import (
     GridSolution,
+    LinearOperator,
     LinearProblem,
     SolutionMeta,
     gp_convolution,
@@ -133,6 +134,7 @@ __all__ = [
     "LinearProblem",
     "SolutionMeta",
     "GridSolution",
+    "LinearOperator",
     "gp_convolution",
     "load_moment_g",
     "solve_linear",

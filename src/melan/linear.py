@@ -18,12 +18,15 @@ in O(n) time and memory from the kernels' semiseparable structure.
 
 Second derivatives are assembled from the same convolutions (never by
 differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
+LinearOperator holds everything that does not depend on the load, so
+repeated solves with fixed (M, N, L, grid) pay only for the convolutions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -43,6 +46,7 @@ __all__ = [
     "LinearProblem",
     "SolutionMeta",
     "GridSolution",
+    "LinearOperator",
     "gp_convolution",
     "load_moment_g",
     "solve_linear",
@@ -122,67 +126,105 @@ def _classify_regime(M: float, N: float, L: float) -> str:
 _BLOCK_EXPONENT = 300.0
 
 
-def _damped_cumsum(t: np.ndarray, a: np.ndarray, mu: float) -> np.ndarray:
-    """F_m = sum over j <= m of exp(-mu*(t_m - t_j))*a_j, for nondecreasing t.
+def _damped_plan(t: np.ndarray, mu: float):
+    """Blocks of _damped_cumsum over nondecreasing nodes t: (start, stop, scale, decay).
 
-    One plain cumsum of exp(mu*(t_j - r))*a_j per block of nodes within
-    _BLOCK_EXPONENT/mu of the block's first node r, plus one damped carry
-    from the previous block, so no factor overflows for any mu*L.
+    Each block holds the nodes within _BLOCK_EXPONENT/mu of its first node r;
+    scale = exp(mu*(t - r)) on the block and decay = exp(-mu*(r - t_prev))
+    carries the previous block's last sum across, so no factor overflows for
+    any mu*L.
     """
-    out = np.empty_like(a)
+    plan = []
     start = 0
     while start < t.size:
         r = t[start]
         stop = int(np.searchsorted(t, r + _BLOCK_EXPONENT / mu, side="right"))
         scale = np.exp(mu * (t[start:stop] - r))
-        carry = out[start - 1] * np.exp(-mu * (r - t[start - 1])) if start else 0.0
-        out[start:stop] = (carry + np.cumsum(scale * a[start:stop])) / scale
+        decay = np.exp(-mu * (r - t[start - 1])) if start else None
+        plan.append((start, stop, scale, decay))
         start = stop
+    return tuple(plan)
+
+
+def _damped_cumsum(a: np.ndarray, plan) -> np.ndarray:
+    """F_m = sum over j <= m of exp(-mu*(t_m - t_j))*a_j, with plan = _damped_plan(t, mu).
+
+    One plain cumsum of exp(mu*(t_j - r))*a_j per block, plus one damped
+    carry from the previous block.
+    """
+    out = np.empty_like(a)
+    for start, stop, scale, decay in plan:
+        carry = out[start - 1] * decay if start else 0.0
+        out[start:stop] = (carry + (scale * a[start:stop]).cumsum()) / scale
     return out
 
 
-def _sampled_convolutions(values: np.ndarray, x: np.ndarray, params: KernelParams):
-    """Simpson sums A(x) = sum_j gm(x, s_j)*w_j*p_j and B(x) likewise with g0.
+class _SampledProfile:
+    """Simpson sums of `ns` uniform samples against both kernels, at positions x.
 
-    p_j are the samples on their own uniform grid s_j; x is any positions in
-    [0, L].  Both kernels are semiseparable, g0(x, s) = min*(L - max)/L and
+    A(x) = sum_j gm(x, s_j)*w_j*p_j and B(x) likewise with g0, for samples
+    p_j on their own uniform grid s_j and any positions x in [0, L].  Both
+    kernels are semiseparable, g0(x, s) = min*(L - max)/L and
     gm(x, s) = K*exp(-mu*|x - s|)*P(min)*Q(max) with P(t) = -expm1(-2 mu t),
     Q(t) = P(L - t), K = 1/(2 mu P(L)), so each sum splits at x into running
-    sums over s_j <= x and s_j > x: O(len(x) + len(values)) time and memory.
+    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory.
+
+    Everything that depends only on (M, L, ns, x) is computed here once: the
+    Simpson weights, P at the samples, the per-position decay factors and
+    the _damped_cumsum block plans.  `convolve` is the per-values pass.
     """
-    L, mu = params.L, params.mu
-    ns = values.size
-    s = uniform_grid(L, ns)
-    v = simpson_weights(ns, L / (ns - 1)) * values
 
-    def P(t):
-        return -np.expm1(-2.0 * mu * t)
+    def __init__(self, params: KernelParams, ns: int, x: np.ndarray):
+        L, mu = params.L, params.mu
+        s = uniform_grid(L, ns)
 
-    # s[lo] <= x < s[lo + 1]; the suffix index clipped to ns - 1 adds zero.
-    lo = np.searchsorted(s, x, side="right") - 1
-    hi = np.minimum(lo + 1, ns - 1)
+        def P(t):
+            return -np.expm1(-2.0 * mu * t)
 
-    u = L - s[::-1]
-    fwd = _damped_cumsum(s, P(s) * v, mu)
-    bwd = _damped_cumsum(u, P(u) * v[::-1], mu)[::-1]
-    A = (
-        P(L - x) * np.exp(-mu * (x - s[lo])) * fwd[lo]
-        + P(x) * np.exp(-mu * (s[hi] - x)) * bwd[hi]
-    ) / (2.0 * mu * P(L))
+        # s[lo] <= x < s[lo + 1]; the suffix index clipped to ns - 1 adds zero.
+        lo = np.searchsorted(s, x, side="right") - 1
+        hi = np.minimum(lo + 1, ns - 1)
+        u = L - s[::-1]
 
-    head = np.cumsum(s * v)
-    tail = np.cumsum(u * v[::-1])[::-1]
-    B = ((L - x) * head[lo] + x * tail[hi]) / L
-    return A, B
+        self.ns = ns
+        self.L = L
+        self.x = x
+        self.lo, self.hi = lo, hi
+        self.s, self.u = s, u
+        self.ws = simpson_weights(ns, L / (ns - 1))
+        self.wx = simpson_weights(x.size, L / (x.size - 1))
+        self.Ps, self.Pu = P(s), P(u)
+        self.fwd_plan = _damped_plan(s, mu)
+        self.bwd_plan = _damped_plan(u, mu)
+        self.left = P(L - x) * np.exp(-mu * (x - s[lo]))
+        self.right = P(x) * np.exp(-mu * (s[hi] - x))
+        self.scale = 2.0 * mu * P(L)
+        self.Lmx = L - x
+
+    def convolve(self, values: np.ndarray):
+        """(A, B, intA, intB) for the samples `values`; the integrals are Simpson over x."""
+        lo, hi = self.lo, self.hi
+        v = self.ws * values
+        vr = v[::-1]
+        fwd = _damped_cumsum(self.Ps * v, self.fwd_plan)
+        bwd = _damped_cumsum(self.Pu * vr, self.bwd_plan)[::-1]
+        A = (self.left * fwd[lo] + self.right * bwd[hi]) / self.scale
+
+        head = (self.s * v).cumsum()
+        tail = (self.u * vr).cumsum()[::-1]
+        B = (self.Lmx * head[lo] + self.x * tail[hi]) / self.L
+        return A, B, float(self.wx @ A), float(self.wx @ B)
 
 
-def _convolve_term(term, x: np.ndarray, params: KernelParams):
+def _convolve_term(term, x: np.ndarray, params: KernelParams, profile_for=None):
     """Convolutions of one load term with the two second-order kernels.
 
     Returns (A, B, intA, intB): A(x) solves -A'' + M*A = p with zero ends,
     B(x) solves -B'' = p with zero ends, and intA/intB are their integrals
     over the span.  Analytic terms are closed forms; Sampled terms are Simpson
-    sums over the samples (O(n), see _sampled_convolutions) and then over x.
+    sums over the samples (O(n), see _SampledProfile) and then over x.
+    `profile_for(ns)` supplies the _SampledProfile for ns samples at x; by
+    default a throwaway one is built.
     """
     M, L, mu, muL = params.M, params.L, params.mu, params.muL
 
@@ -251,29 +293,109 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams):
         return A, B, intA, intB
 
     if isinstance(term, Sampled):
-        A, B = _sampled_convolutions(term.values, x, params)
-        wx = simpson_weights(x.size, L / (x.size - 1))
-        return A, B, float(wx @ A), float(wx @ B)
+        ns = term.values.size
+        profile = profile_for(ns) if profile_for else _SampledProfile(params, ns, x)
+        return profile.convolve(term.values)
 
     raise TypeError(f"unsupported load term {type(term).__name__}")
 
 
-def _assemble(problem: LinearProblem, x: np.ndarray):
-    """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the grid x.
+def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, profile_for=None):
+    """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the positions x.
 
     Lambda is the double integral of the full solution kernel against the
     load, i.e. the integral over the span of (B_tot - A_tot)/M.
     """
-    params = KernelParams(problem.M, problem.L)
-    A_tot = np.zeros_like(x)
-    B_tot = np.zeros_like(x)
-    lam = 0.0
-    for term in problem.load.terms:
-        A, B, intA, intB = _convolve_term(term, x, params)
+    A_tot = B_tot = lam = 0.0
+    for term in load.terms:
+        A, B, intA, intB = _convolve_term(term, x, params, profile_for)
         A_tot = A_tot + A
         B_tot = B_tot + B
-        lam += (intB - intA) / problem.M
+        lam += (intB - intA) / params.M
     return A_tot, B_tot, lam
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class LinearOperator:
+    """Solution map of the linear model for fixed (M, N, L, grid_points).
+
+    Everything a solve needs that does not depend on the load is computed
+    once, when the operator is built: the grid x, psi(x), gm_row_integral(x),
+    zeta and 1 + N*zeta.  SingularResonance is raised here when 1 + N*zeta
+    vanishes.  The profile of a Sampled load with one sample per grid node
+    (Simpson weights, kernel factors, block plans) is built on the first such
+    solve and kept, so closed-form solves never pay for it; a Sampled load of
+    any other size gets a throwaway profile.
+
+    Reuse one operator for every load with the same coefficients, as the
+    monotone iteration does for all sweeps of a bracket: each solve is then
+    only the per-load convolution pass.  The cached arrays are read-only, and
+    every solution's `grid` is the operator's own grid.
+    """
+
+    def __init__(self, M: float, N: float, L: float, grid_points: int):
+        if not np.isfinite(N):
+            raise ValueError(f"N must be finite, got {N}")
+        params = KernelParams(M, L)
+        x = _read_only(uniform_grid(L, grid_points))
+        self.M, self.N, self.L, self.grid_points = M, N, L, grid_points
+        self.params = params
+        self.grid = x
+        self.psi = _read_only(psi(x, params))
+        self.gm_row = _read_only(gm_row_integral(x, params))
+        self.zeta = zeta(params)
+        coupling = N * self.zeta
+        self.denom = 1.0 + coupling
+        if abs(self.denom) < _SINGULAR_TOL * max(1.0, abs(coupling)):
+            raise SingularResonance(
+                f"1 + N*zeta = {self.denom:.3e} is numerically zero (N*zeta = {coupling:.6g})"
+            )
+        self.regime = _classify_regime(M, N, L)
+        self._profile = None
+
+    def _profile_for(self, ns: int) -> _SampledProfile:
+        if ns != self.grid_points:
+            return _SampledProfile(self.params, ns, self.grid)
+        if self._profile is None:
+            self._profile = _SampledProfile(self.params, ns, self.grid)
+        return self._profile
+
+    def assemble(self, load: LoadSpec):
+        """(A_tot, B_tot, Lambda) of the load on the operator's grid."""
+        return _assemble(load, self.grid, self.params, self._profile_for)
+
+    def solve(self, load: LoadSpec) -> GridSolution:
+        """Solve the linear model for `load`: I = Lambda/(1 + N*zeta), then finish."""
+        A_tot, B_tot, lam = self.assemble(load)
+        integral_y = lam / self.denom
+        return self.finish(A_tot, B_tot, self.N * integral_y, integral_y)
+
+    def finish(self, A_tot, B_tot, coupled, integral_y) -> GridSolution:
+        """The grid solution from the summed convolutions and the coupling term.
+
+        y = (B - A)/M - coupled*psi and y'' = -A + coupled*gm_row_integral,
+        where `coupled` is N times the integral fed back through the coupling:
+        integral_y itself for a full solve, a partial sum for Picard.  Raises
+        NonFiniteSolution when y, y'' or integral_y is NaN or infinite.
+        """
+        y = (B_tot - A_tot) / self.M - coupled * self.psi
+        ypp = -A_tot + coupled * self.gm_row
+        # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
+        y[0] = y[-1] = 0.0
+        ypp[0] = ypp[-1] = 0.0
+        if not (math.isfinite(integral_y) and np.isfinite(y).all() and np.isfinite(ypp).all()):
+            raise NonFiniteSolution(
+                f"solution is not finite (integral = {integral_y:.6g}); a load term"
+                " may overflow over the span or hold non-finite samples"
+            )
+        meta = SolutionMeta(
+            M=self.M, N=self.N, L=self.L, grid_points=self.grid_points, regime=self.regime
+        )
+        return GridSolution(grid=self.grid, y=y, ypp=ypp, integral_y=integral_y, meta=meta)
 
 
 def gp_convolution(x, problem: LinearProblem):
@@ -281,15 +403,18 @@ def gp_convolution(x, problem: LinearProblem):
 
     This is the deflection of the plain (decoupled) beam under the load:
     the solution of y'''' - M y'' = p with hinged ends.  Accepts a scalar
-    or an array of positions in [0, L]; returns matching shape.
+    or an array of positions in [0, L]; returns matching shape.  Raises
+    NonFiniteSolution when any value is NaN or infinite.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     slack = 1e-9 * problem.L
     if np.any(arr < -slack) or np.any(arr > problem.L + slack):
         raise ValueError("positions must lie within [0, L]")
     arr = np.clip(arr, 0.0, problem.L)
-    A_tot, B_tot, _ = _assemble(problem, arr)
+    A_tot, B_tot, _ = _assemble(problem.load, arr, KernelParams(problem.M, problem.L))
     out = (B_tot - A_tot) / problem.M
+    if not np.isfinite(out).all():
+        raise NonFiniteSolution("convolution of the load is not finite")
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
@@ -298,52 +423,41 @@ def load_moment_g(problem: LinearProblem, grid_points: int = 1001) -> float:
 
     Equals the integral over the span of gp_convolution; for a unit
     constant load it reduces to zeta(M, L).  `grid_points` only matters
-    when Sampled terms force quadrature.
+    when Sampled terms force quadrature.  Raises NonFiniteSolution when the
+    result is NaN or infinite.
     """
     x = uniform_grid(problem.L, grid_points)
-    _, _, lam = _assemble(problem, x)
+    _, _, lam = _assemble(problem.load, x, KernelParams(problem.M, problem.L))
+    if not math.isfinite(lam):
+        raise NonFiniteSolution(f"load moment is not finite ({lam:.6g})")
     return float(lam)
 
 
-def solve_linear(problem: LinearProblem, grid_points: int = 1001) -> GridSolution:
+def solve_linear(
+    problem: LinearProblem,
+    grid_points: int = 1001,
+    operator: Optional[LinearOperator] = None,
+) -> GridSolution:
     """Solve the linear model on a uniform grid of `grid_points` nodes.
+
+    `operator` is a LinearOperator built for the problem's (M, N, L) and
+    `grid_points`, to reuse across solves; by default one is built for this
+    call.  An operator built for anything else raises ValueError.
 
     Raises SingularResonance when 1 + N*zeta vanishes to within roundoff,
     in which case no finite solution exists for generic loads, and
     NonFiniteSolution when any output is NaN or infinite.
     """
-    params = KernelParams(problem.M, problem.L)
-    x = uniform_grid(problem.L, grid_points)
-    A_tot, B_tot, lam = _assemble(problem, x)
-
-    zeta_val = zeta(params)
-    coupling = problem.N * zeta_val
-    denom = 1.0 + coupling
-    if abs(denom) < _SINGULAR_TOL * max(1.0, abs(coupling)):
-        raise SingularResonance(
-            f"1 + N*zeta = {denom:.3e} is numerically zero (N*zeta = {coupling:.6g})"
-        )
-    integral_y = lam / denom
-
-    y = (B_tot - A_tot) / problem.M - problem.N * integral_y * psi(x, params)
-    ypp = -A_tot + problem.N * integral_y * gm_row_integral(x, params)
-    # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
-    y[0] = y[-1] = 0.0
-    ypp[0] = ypp[-1] = 0.0
-    if not (math.isfinite(integral_y) and np.isfinite(y).all() and np.isfinite(ypp).all()):
-        raise NonFiniteSolution(
-            f"solution is not finite (integral = {integral_y:.6g}); a load term"
-            " may overflow over the span"
-        )
-
-    meta = SolutionMeta(
-        M=problem.M,
-        N=problem.N,
-        L=problem.L,
-        grid_points=grid_points,
-        regime=_classify_regime(problem.M, problem.N, problem.L),
-    )
-    return GridSolution(grid=x, y=y, ypp=ypp, integral_y=integral_y, meta=meta)
+    if operator is None:
+        operator = LinearOperator(problem.M, problem.N, problem.L, grid_points)
+    else:
+        built = (operator.M, operator.N, operator.L, operator.grid_points)
+        wanted = (problem.M, problem.N, problem.L, grid_points)
+        if built != wanted:
+            raise ValueError(
+                f"operator built for (M, N, L, grid_points) = {built}, problem needs {wanted}"
+            )
+    return operator.solve(problem.load)
 
 
 def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> GridSolution:
@@ -353,36 +467,22 @@ def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> G
     each step feeds the previous integral back through the coupling:
     y_k = y_0 - N*integral(y_{k-1})*psi.  The sequence is the partial-sum
     form of the geometric series that solve_linear sums exactly, so it
-    converges at rate |N*zeta|; that magnitude must be below 1.
+    converges at rate |N*zeta|; that magnitude must be below 1.  Raises
+    NonFiniteSolution when any output is NaN or infinite.
     """
     if n < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n}")
-    params = KernelParams(problem.M, problem.L)
-    x = uniform_grid(problem.L, grid_points)
-    A_tot, B_tot, lam = _assemble(problem, x)
-
-    d = problem.N * zeta(params)
+    d = problem.N * zeta(KernelParams(problem.M, problem.L))
     if abs(d) >= 1.0:
         raise NotContractive(
             f"|N*zeta| = {abs(d):.6g} >= 1: the fixed-point iteration diverges"
         )
+    operator = LinearOperator(problem.M, problem.N, problem.L, grid_points)
+    A_tot, B_tot, lam = operator.assemble(problem.load)
     # Partial sums of the geometric series in (-d).
     s_prev = sum((-d) ** j for j in range(n))
     s_n = s_prev + (-d) ** n
-
-    y = (B_tot - A_tot) / problem.M - problem.N * lam * s_prev * psi(x, params)
-    ypp = -A_tot + problem.N * lam * s_prev * gm_row_integral(x, params)
-    y[0] = y[-1] = 0.0
-    ypp[0] = ypp[-1] = 0.0
-
-    meta = SolutionMeta(
-        M=problem.M,
-        N=problem.N,
-        L=problem.L,
-        grid_points=grid_points,
-        regime=_classify_regime(problem.M, problem.N, problem.L),
-    )
-    return GridSolution(grid=x, y=y, ypp=ypp, integral_y=float(lam * s_n), meta=meta)
+    return operator.finish(A_tot, B_tot, problem.N * lam * s_prev, float(lam * s_n))
 
 
 def residual(solution: GridSolution, problem: LinearProblem) -> float:

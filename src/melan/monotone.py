@@ -36,7 +36,7 @@ from .errors import (
     NotApplicable,
     NotConverged,
 )
-from .linear import GridSolution, LinearProblem, solve_linear
+from .linear import GridSolution, LinearOperator, LinearProblem, solve_linear
 from .loads import LoadSpec, Sampled
 # Unused here, but perfbench/tracer.py wraps melan.monotone.integrate.
 from .quadrature import integrate, uniform_grid  # noqa: F401
@@ -106,6 +106,20 @@ class BoundPair:
     lam: Optional[float] = None
     lower_shape: object = None
     upper_shape: object = None
+    _operator: Optional[LinearOperator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def operator(self, L: float) -> LinearOperator:
+        """The frozen-coefficient linear operator on this pair's grid over span L.
+
+        Built on first use and kept, so every sweep of a run shares one.
+        """
+        op = self._operator
+        if op is None or op.L != L:
+            op = LinearOperator(self.M, self.N, L, len(self.grid))
+            object.__setattr__(self, "_operator", op)
+        return op
 
     def validate(self, problem: MelanProblem) -> None:
         """Raise InvalidPair unless the bracket's defining inequalities hold.
@@ -318,9 +332,9 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
         F = p + (a - M + b*I)*prev'' + (N - c)*I,    I = integral(prev),
 
     as a single sampled load on the pair's grid, then solves the linear
-    model with (M, N).  Sampling the whole right side keeps both bracket
-    sides on an identical numerical footing, which the ordering checks
-    rely on.
+    model with (M, N) through the pair's prepared operator.  Sampling the
+    whole right side keeps both bracket sides on an identical numerical
+    footing, which the ordering checks rely on.
     """
     x = pair.grid
     I = prev.integral
@@ -332,7 +346,9 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
     linear = LinearProblem(
         M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),))
     )
-    sol: GridSolution = solve_linear(linear, grid_points=len(x))
+    sol: GridSolution = solve_linear(
+        linear, grid_points=len(x), operator=pair.operator(problem.L)
+    )
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
 
@@ -426,12 +442,12 @@ def run_monotone(
         new_beta = iterate_once(betas[-1], pair, problem)
 
         checks = [
-            ("lower iterates must not descend", np.max(alphas[-1].y - new_alpha.y), tol_y),
-            ("upper iterates must not ascend", np.max(new_beta.y - betas[-1].y), tol_y),
-            ("lower curvature must not ascend", np.max(new_alpha.ypp - alphas[-1].ypp), tol_pp),
-            ("upper curvature must not descend", np.max(betas[-1].ypp - new_beta.ypp), tol_pp),
-            ("bracket ordering must hold", np.max(new_alpha.y - new_beta.y), tol_y),
-            ("bracket curvature ordering must hold", np.max(new_beta.ypp - new_alpha.ypp), tol_pp),
+            ("lower iterates must not descend", (alphas[-1].y - new_alpha.y).max(), tol_y),
+            ("upper iterates must not ascend", (new_beta.y - betas[-1].y).max(), tol_y),
+            ("lower curvature must not ascend", (new_alpha.ypp - alphas[-1].ypp).max(), tol_pp),
+            ("upper curvature must not descend", (betas[-1].ypp - new_beta.ypp).max(), tol_pp),
+            ("bracket ordering must hold", (new_alpha.y - new_beta.y).max(), tol_y),
+            ("bracket curvature ordering must hold", (new_beta.ypp - new_alpha.ypp).max(), tol_pp),
         ]
         for label, excess, allowance in checks:
             if excess > allowance:
@@ -445,7 +461,7 @@ def run_monotone(
         betas.append(new_beta)
         gap_bounds.append((problem.L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp)
         iterations = n
-        gap = float(np.max(np.abs(new_beta.y - new_alpha.y)))
+        gap = float(np.abs(new_beta.y - new_alpha.y).max())
         if gap < tol:
             status = "converged"
 

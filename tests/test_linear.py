@@ -21,6 +21,7 @@ from melan import (
     Constant,
     Cubic,
     KernelParams,
+    LinearOperator,
     LinearProblem,
     LoadSpec,
     Sampled,
@@ -297,6 +298,67 @@ def test_sampled_convolution_matches_dense_simpson_sum(muL, ns, positions):
     assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
 
 
+def _solution_bytes(sol):
+    return sol.y.tobytes(), sol.ypp.tobytes(), np.float64(sol.integral_y).tobytes()
+
+
+@pytest.mark.parametrize("muL", [1e-4, 0.66, 2.0, 700.0, 2000.0])
+def test_reused_operator_is_bit_identical_to_a_fresh_solve(muL):
+    L, n = 3.0, 501
+    M = (muL / L) ** 2
+    N = 0.3 * 8.0 * M / L**3
+    rng = np.random.default_rng(5)
+    loads = {}
+    for ns in (n, 31):
+        s = uniform_grid(L, ns)
+        values = 1.0 + np.sin(3.0 * s) + 0.3 * rng.standard_normal(ns)
+        loads[ns] = LoadSpec((Sampled(values),))
+    loads["analytic"] = LoadSpec((Constant(1.5), SineHalfWave(-0.7)))
+    op = LinearOperator(M, N, L, n)
+    for _ in range(2):
+        for key, load in loads.items():
+            pr = LinearProblem(M=M, N=N, L=L, load=load)
+            reused = solve_linear(pr, grid_points=n, operator=op)
+            fresh = solve_linear(pr, grid_points=n)
+            assert _solution_bytes(reused) == _solution_bytes(fresh), key
+            if key == "analytic":
+                continue
+            # Same solve from the dense-matrix Simpson sums.
+            values = load.terms[0].values
+            A_ref, B_ref = dense_simpson_convolutions(values, op.grid, M, L)
+            w = simpson_weights(n, L / (n - 1))
+            lam = float(w @ (B_ref - A_ref)) / M
+            integral = lam / (1.0 + N * op.zeta)
+            y_ref = (B_ref - A_ref) / M - N * integral * op.psi
+            scale = (np.max(np.abs(A_ref)) + np.max(np.abs(B_ref))) / M
+            assert np.max(np.abs(reused.y - y_ref)[1:-1]) <= 1e-12 * scale
+            assert reused.integral_y == pytest.approx(integral, rel=1e-12, abs=1e-12 * scale * L)
+    # The cached sampled profile is the only one kept; past mu*L = 300 it
+    # runs the multi-block damped sums.
+    assert op._profile is not None and op._profile.ns == n
+    assert (len(op._profile.fwd_plan) > 1) == (muL > 300.0)
+
+
+@pytest.mark.parametrize("field", ["M", "N", "L", "grid_points"])
+def test_operator_for_other_coefficients_is_refused(field):
+    built = {"M": 1.0, "N": 0.2, "L": 2.0, "grid_points": 101}
+    op = LinearOperator(**built)
+    wanted = dict(built)
+    wanted[field] = {"M": 1.5, "N": 0.3, "L": 2.5, "grid_points": 201}[field]
+    pr = LinearProblem(M=wanted["M"], N=wanted["N"], L=wanted["L"],
+                       load=LoadSpec((Constant(1.0),)))
+    with pytest.raises(ValueError, match="operator built for"):
+        solve_linear(pr, grid_points=wanted["grid_points"], operator=op)
+
+
+def test_closed_form_solves_build_no_sampled_profile():
+    op = LinearOperator(1.0, 0.2, 2.0, 101)
+    pr = LinearProblem(M=1.0, N=0.2, L=2.0, load=LoadSpec((Constant(1.0),)))
+    solve_linear(pr, grid_points=101, operator=op)
+    assert op._profile is None
+    assert not op.grid.flags.writeable and not op.psi.flags.writeable
+
+
 def test_sampled_solve_memory_is_linear_in_grid():
     # A dense n-by-n kernel matrix at 16001 points alone would take 2 GB.
     n = 16001
@@ -369,6 +431,27 @@ def test_sinh_overflow_raises_without_warnings(solve):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteSolution, match="sinh load term"):
+            solve(pr)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda pr: solve_linear(pr, grid_points=101),
+        lambda pr: picard_iterate(pr, 2, grid_points=101),
+        lambda pr: gp_convolution(np.linspace(0.0, 2.0, 9), pr),
+        lambda pr: load_moment_g(pr, grid_points=101),
+    ],
+    ids=["solve_linear", "picard_iterate", "gp_convolution", "load_moment_g"],
+)
+def test_non_finite_samples_raise(solve, bad):
+    values = np.ones(101)
+    values[40] = bad
+    pr = LinearProblem(M=1.0, N=0.1, L=2.0, load=LoadSpec((Sampled(values),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NonFiniteSolution):
             solve(pr)
 
 

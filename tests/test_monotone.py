@@ -286,3 +286,38 @@ def test_default_amplitude_is_span_over_hundred():
     v = iterate_melan(gentle, grid_points=501)
     assert v.lam == pytest.approx(0.02, rel=1e-13)
     assert v.status == "converged"
+
+
+# ---------------------------------------------------------------------------
+# prepared linear operator
+
+
+def test_one_run_prepares_the_linear_operator_once(monkeypatch):
+    # Every sweep solves with the bracket's fixed (M, N, L, grid), so the
+    # kernel profiles and the sampled-load profile are built once per run,
+    # not once per solve.
+    import melan.linear
+
+    calls = {"psi": 0, "simpson_weights": 0}
+    for name in calls:
+        original = getattr(melan.linear, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(melan.linear, name, counted)
+    problem = standard_problem()
+    verdict = run_monotone(problem, make_sine_pair(problem, LAM, 501))
+    assert verdict.iterations >= 3
+    # psi on the grid; Simpson weights of the samples and of the grid.
+    assert calls == {"psi": 1, "simpson_weights": 2}
+
+
+def test_pair_operator_is_built_once_and_follows_the_span():
+    pair = make_sine_pair(standard_problem(), LAM, 101)
+    op = pair.operator(2.0)
+    assert pair.operator(2.0) is op
+    assert (op.M, op.N, op.L, op.grid_points) == (pair.M, pair.N, 2.0, 101)
+    other = pair.operator(3.0)
+    assert other.L == 3.0 and pair.operator(3.0) is other
