@@ -309,10 +309,6 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
     def maxima(trace):
         return [float(np.max(np.abs(it.y))) for it in trace.iterates]
 
-    gaps = [
-        float(np.max(np.abs(u.y - l.y)))
-        for l, u in zip(verdict.lower.iterates, verdict.upper.iterates)
-    ]
     return {
         "M": verdict.M,
         "N": verdict.N,
@@ -323,7 +319,7 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
         "certified": verdict.certified,
         "final_gap": verdict.final_gap,
         "gap_bounds": list(verdict.gap_bounds),
-        "gaps": gaps,
+        "gaps": list(verdict.gaps),
         "lower_maxima": maxima(verdict.lower),
         "upper_maxima": maxima(verdict.upper),
         "positivity": asdict(verdict.positivity),

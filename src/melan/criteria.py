@@ -173,10 +173,6 @@ class SineCheck:
     envelope_const: float
     reports: List[ConditionReport]
 
-    @property
-    def all_satisfied(self) -> bool:
-        return all(r.satisfied for r in self.reports)
-
 
 def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) -> SineCheck:
     """Check the conditions under which lam*sin(pi*x/L) brackets the solution.

@@ -27,7 +27,6 @@ __all__ = [
     "theta",
     "gm_row_integral",
     "psi",
-    "gm_total_integral",
     "zeta",
 ]
 
@@ -187,11 +186,6 @@ def _gap_to_tanh(z: float) -> float:
         1.0 / 12.0
         + z2 * (-1.0 / 120.0 + z2 * (17.0 / 20160.0 - z2 * 31.0 / 362880.0))
     )
-
-
-def gm_total_integral(params: KernelParams) -> float:
-    """Double integral of green_gm over [0, L]^2: (mu*L - 2*tanh(mu*L/2))/(M*mu)."""
-    return _gap_to_tanh(params.muL) / (params.M * params.mu)
 
 
 def zeta(params: KernelParams) -> float:

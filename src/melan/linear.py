@@ -202,7 +202,13 @@ class _SampledProfile:
         self.Lmx = L - x
 
     def convolve(self, values: np.ndarray):
-        """(A, B, intA, intB) for the samples `values`; the integrals are Simpson over x."""
+        """(A, B, intA, intB) for the samples `values`; the integrals are Simpson over x.
+
+        Raises NonFiniteSolution on NaN or infinite samples before any
+        arithmetic, so numpy warns nothing (inf times the kernels' zero ends).
+        """
+        if not np.isfinite(values).all():
+            raise NonFiniteSolution("sampled load is not finite")
         lo, hi = self.lo, self.hi
         v = self.ws * values
         vr = v[::-1]

@@ -93,9 +93,11 @@ class Iterate:
 class BoundPair:
     """An ordered bracket (alpha below, beta above) plus its frozen coefficients.
 
-    `lower_shape`/`upper_shape` optionally carry the analytic candidates the
-    samples came from, letting run_monotone verify the defining differential
-    inequalities exactly instead of by finite differences.
+    `lower_shape`/`upper_shape` are the analytic candidates the samples came
+    from, so run_monotone verifies the defining differential inequalities
+    exactly instead of by finite differences.  `operator` is the linear
+    operator for (M, N) on the pair's grid, built with the pair, so every
+    sweep of a run shares one.
     """
 
     grid: np.ndarray
@@ -103,23 +105,14 @@ class BoundPair:
     beta: Iterate
     M: float
     N: float
-    lam: Optional[float] = None
-    lower_shape: object = None
-    upper_shape: object = None
-    _operator: Optional[LinearOperator] = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    lam: float
+    lower_shape: object
+    upper_shape: object
+    operator: LinearOperator = field(init=False, repr=False, compare=False)
 
-    def operator(self, L: float) -> LinearOperator:
-        """The frozen-coefficient linear operator on this pair's grid over span L.
-
-        Built on first use and kept, so every sweep of a run shares one.
-        """
-        op = self._operator
-        if op is None or op.L != L:
-            op = LinearOperator(self.M, self.N, L, len(self.grid))
-            object.__setattr__(self, "_operator", op)
-        return op
+    def __post_init__(self):
+        op = LinearOperator(self.M, self.N, float(self.grid[-1]), len(self.grid))
+        object.__setattr__(self, "operator", op)
 
     def validate(self, problem: MelanProblem) -> None:
         """Raise InvalidPair unless the bracket's defining inequalities hold.
@@ -149,25 +142,19 @@ class BoundPair:
 
 @dataclass(frozen=True)
 class IterationTrace:
-    """History of one side of the bracket; iterates[0] is the initial bound.
-
-    `bounds[n]` is the a-priori sup-norm gap bound after n sweeps,
-    (L**2/4) * rho**n * ||alpha0'' - beta0''||_inf (rho clamped at zero).
-    """
+    """History of one side of the bracket; iterates[0] is the initial bound."""
 
     side: str
     iterates: Tuple[Iterate, ...]
-    rho: float
-    bounds: Tuple[float, ...]
-    status: str
 
 
 @dataclass(frozen=True)
 class MonotoneVerdict:
     """Outcome of the two-sided iteration.
 
-    `gap_bounds[n]` is the a-priori sup-norm bound (L**2/4)*rho**n times the
-    initial curvature gap, alongside the observed `final_gap`.  `certified`
+    `gaps[n]` is the observed bracket width max|beta_n - alpha_n| after n
+    sweeps, and `gap_bounds[n]` its a-priori sup-norm bound (L**2/4)*rho**n
+    times the initial curvature gap (rho clamped at zero).  `certified`
     is True only for a clean run: ordered, monotone, converged, with the
     bracket and positivity conditions verified.  `uniqueness` reports the
     strict condition under which the bracket pins down a single solution;
@@ -179,16 +166,20 @@ class MonotoneVerdict:
     grid: np.ndarray
     M: float
     N: float
-    lam: Optional[float]
+    lam: float
     rho: float
+    gaps: Tuple[float, ...]
     gap_bounds: Tuple[float, ...]
     positivity: ConditionReport
     uniqueness: ConditionReport
     status: str
     iterations: int
-    final_gap: float
     certified: bool
     warnings: Tuple[str, ...] = field(default=())
+
+    @property
+    def final_gap(self) -> float:
+        return self.gaps[-1]
 
     @property
     def final_lower(self) -> Iterate:
@@ -347,7 +338,7 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
         M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),))
     )
     sol: GridSolution = solve_linear(
-        linear, grid_points=len(x), operator=pair.operator(problem.L)
+        linear, grid_points=len(x), operator=pair.operator
     )
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
@@ -357,16 +348,10 @@ def _verify_pair(pair: BoundPair, problem: MelanProblem, strict: bool,
     """Run the initial-bound checks, raising or warning per `strict`."""
     pair.validate(problem)
     grid_points = len(pair.grid)
-    reports = []
-    if pair.lower_shape is not None:
-        reports.append(verify_lower(pair.lower_shape, problem, grid_points))
-    if pair.upper_shape is not None:
-        reports.append(verify_upper(pair.upper_shape, problem, grid_points))
-    if pair.lower_shape is None or pair.upper_shape is None:
-        warnings.append(
-            "pair carries no analytic candidate shapes; differential"
-            " inequalities of the initial bounds were not verified"
-        )
+    reports = (
+        verify_lower(pair.lower_shape, problem, grid_points),
+        verify_upper(pair.upper_shape, problem, grid_points),
+    )
     for rep in reports:
         if not rep.satisfied:
             msg = (
@@ -425,14 +410,14 @@ def run_monotone(
     tol_y = 1e-9 * max(1.0, float(np.max(np.abs(pair.beta.y))))
     tol_pp = 1e-9 * max(1.0, float(np.max(np.abs(pair.beta.ypp))))
     gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
-    gap = float(np.max(np.abs(pair.beta.y - pair.alpha.y)))
+    gaps = [float(np.max(np.abs(pair.beta.y - pair.alpha.y)))]
     if tol is None:
-        tol = 1e-8 * max(1.0, gap)
+        tol = 1e-8 * max(1.0, gaps[0])
 
     alphas = [pair.alpha]
     betas = [pair.beta]
     gap_bounds = [(problem.L**2 / 4.0) * gap0_pp]
-    status = "converged" if gap < tol else "max-iters"
+    status = "converged" if gaps[0] < tol else "max-iters"
     violated = False
     iterations = 0
 
@@ -461,67 +446,60 @@ def run_monotone(
         betas.append(new_beta)
         gap_bounds.append((problem.L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp)
         iterations = n
-        gap = float(np.abs(new_beta.y - new_alpha.y).max())
-        if gap < tol:
+        gaps.append(float(np.abs(new_beta.y - new_alpha.y).max()))
+        if gaps[-1] < tol:
             status = "converged"
 
     if violated:
         status = "monotonicity-violation"
 
+    lower = IterationTrace("lower", tuple(alphas))
+    upper = IterationTrace("upper", tuple(betas))
     if status != "converged":
+        stopped = f"bracket width {gaps[-1]:.6g} after {iterations} sweeps"
         if strict and not violated:
-            trace_l = IterationTrace("lower", tuple(alphas), float(rho), tuple(gap_bounds), status)
-            trace_u = IterationTrace("upper", tuple(betas), float(rho), tuple(gap_bounds), status)
             raise NotConverged(
-                f"bracket width {gap:.6g} after {iterations} sweeps (tolerance {tol:.6g})",
-                lower=trace_l,
-                upper=trace_u,
+                f"{stopped} (tolerance {tol:.6g})", lower=lower, upper=upper
             )
-        warnings.append(
-            f"stopped with bracket width {gap:.6g} after {iterations} sweeps"
-            f" (tolerance {tol:.6g})"
-        )
+        warnings.append(f"stopped with {stopped} (tolerance {tol:.6g})")
 
     certified = status == "converged" and not violated and not warnings
-    bounds = tuple(gap_bounds)
     return MonotoneVerdict(
-        lower=IterationTrace("lower", tuple(alphas), float(rho), bounds, status),
-        upper=IterationTrace("upper", tuple(betas), float(rho), bounds, status),
+        lower=lower,
+        upper=upper,
         grid=pair.grid,
         M=pair.M,
         N=pair.N,
         lam=pair.lam,
         rho=float(rho),
-        gap_bounds=bounds,
+        gaps=tuple(gaps),
+        gap_bounds=tuple(gap_bounds),
         positivity=positivity,
         uniqueness=uniqueness,
         status=status,
         iterations=iterations,
-        final_gap=gap,
         certified=certified,
         warnings=tuple(warnings),
     )
 
 
-def error_bounds(trace: IterationTrace, pair: BoundPair, n: int) -> Tuple[float, float]:
+def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
     """A-priori error estimates after n sweeps of a contracting iteration.
 
-    Returns (a_priori, gap_bound) where gap_bound = (L**2/4) * rho**n *
-    ||alpha0'' - beta0''||_inf limits the bracket width and a_priori =
-    gap_bound / (1 - rho) limits the sup-norm distance from either n-th
-    iterate to the extremal solution it converges to.  Only available for
-    rho < 1.
+    Returns (a_priori, gap_bound) where gap_bound = gap_bounds[0] * rho**n
+    = (L**2/4) * rho**n * ||alpha0'' - beta0''||_inf limits the bracket
+    width and a_priori = gap_bound / (1 - rho) limits the sup-norm distance
+    from either n-th iterate to the extremal solution it converges to.  n
+    may exceed the sweeps the run made.  Only available for rho < 1.
     """
     if n < 0:
         raise ValueError(f"iteration index must be nonnegative, got {n}")
-    rho = trace.rho
+    rho = verdict.rho
     if not (rho < 1.0):
         raise BoundUnavailable(
             f"contraction factor rho = {rho:.6g} is not below 1"
         )
-    L = float(pair.grid[-1])
-    gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
-    gap_bound = (L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp
+    gap_bound = verdict.gap_bounds[0] * max(rho, 0.0) ** n
     a_priori = gap_bound / (1.0 - rho)
     return a_priori, gap_bound
 

@@ -434,7 +434,7 @@ def test_sinh_overflow_raises_without_warnings(solve):
             solve(pr)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
 @pytest.mark.parametrize(
     "solve",
     [
@@ -450,7 +450,7 @@ def test_non_finite_samples_raise(solve, bad):
     values[40] = bad
     pr = LinearProblem(M=1.0, N=0.1, L=2.0, load=LoadSpec((Sampled(values),)))
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         with pytest.raises(NonFiniteSolution):
             solve(pr)
 

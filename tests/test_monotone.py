@@ -41,6 +41,17 @@ def standard_problem():
     return MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.1),)))
 
 
+def long_span_problem():
+    # the 460 m bridge in scaled form: positivity fails and rho > 1
+    return MelanProblem(
+        a=0.0017149122807017545,
+        b=2.327114765543187e-06,
+        c=4.047156113988152e-09,
+        L=460.0,
+        load=LoadSpec((Constant(20.0 / 5.7e7),)),
+    )
+
+
 @pytest.fixture(scope="module")
 def standard_run():
     return iterate_melan(standard_problem(), lam=LAM, grid_points=1001)
@@ -122,6 +133,25 @@ def test_gap_bound_holds_at_every_iteration(standard_run):
         assert gap <= v.gap_bounds[n] + 1e-12
 
 
+def _assert_gaps_are_bracket_widths(v):
+    al, be = v.lower.iterates, v.upper.iterates
+    assert len(v.gaps) == len(al) == len(be) == v.iterations + 1
+    for n, gap in enumerate(v.gaps):
+        assert gap == float(np.max(np.abs(be[n].y - al[n].y)))
+    assert v.final_gap == v.gaps[-1]
+
+
+def test_verdict_gaps_are_the_bracket_widths(standard_run):
+    _assert_gaps_are_bracket_widths(standard_run)
+
+
+def test_verdict_gaps_are_kept_through_a_monotonicity_violation():
+    p_big = long_span_problem()
+    v = run_monotone(p_big, make_sine_pair(p_big, 4.6, 501), max_iter=8, strict=False)
+    assert v.status == "monotonicity-violation"
+    _assert_gaps_are_bracket_widths(v)
+
+
 def test_extremal_iterates_stay_nonnegative_concave(standard_run):
     for trace in (standard_run.lower, standard_run.upper):
         final = trace.iterates[-1]
@@ -201,16 +231,17 @@ def test_iteration_converges_from_arbitrary_admissible_starts(standard_pair, sta
 # error bounds
 
 
-def test_error_bounds_identities(standard_run, standard_pair):
+def test_error_bounds_identities(standard_run):
     v = standard_run
-    ap, gap = error_bounds(v.lower, standard_pair, 3)
-    assert gap == pytest.approx(v.gap_bounds[3], rel=1e-12)
-    # a_priori = gap / (1 - rho), exactly
-    assert ap * (1.0 - v.rho) == pytest.approx(gap, rel=1e-12)
+    for n in range(v.iterations + 1):
+        ap, gap = error_bounds(v, n)
+        assert gap == pytest.approx(v.gap_bounds[n], rel=1e-12, abs=0.0)
+        # a_priori = gap / (1 - rho), exactly
+        assert ap * (1.0 - v.rho) == pytest.approx(gap, rel=1e-12)
 
 
 def test_error_bounds_initial_gap(standard_run, standard_pair):
-    _, gap0 = error_bounds(standard_run.lower, standard_pair, 0)
+    _, gap0 = error_bounds(standard_run, 0)
     want = (2.0 ** 2 / 4.0) * np.max(
         np.abs(standard_pair.alpha.ypp - standard_pair.beta.ypp)
     )
@@ -220,17 +251,11 @@ def test_error_bounds_initial_gap(standard_run, standard_pair):
 def test_error_bounds_refuse_expansive_factor():
     # a configuration whose frozen coefficients give rho >= 1 cannot carry
     # a geometric a-priori bound
-    p_big = MelanProblem(
-        a=0.0017149122807017545,
-        b=2.327114765543187e-06,
-        c=4.047156113988152e-09,
-        L=460.0,
-        load=LoadSpec((Constant(20.0 / 5.7e7),)),
-    )
+    p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
-    trace = run_monotone(p_big, pair, max_iter=3, strict=False).lower
+    v = run_monotone(p_big, pair, max_iter=3, strict=False)
     with pytest.raises(BoundUnavailable):
-        error_bounds(trace, pair, 2)
+        error_bounds(v, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +276,14 @@ def test_non_convergence_tolerated_when_not_strict(standard_pair):
 
 
 def test_uncertifiable_configuration_refused_when_strict():
-    p_big = MelanProblem(
-        a=0.0017149122807017545,
-        b=2.327114765543187e-06,
-        c=4.047156113988152e-09,
-        L=460.0,
-        load=LoadSpec((Constant(20.0 / 5.7e7),)),
-    )
+    p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
     with pytest.raises(NotApplicable):
         run_monotone(p_big, pair, max_iter=8)
 
 
 def test_uncertifiable_run_reports_violation_when_forced():
-    p_big = MelanProblem(
-        a=0.0017149122807017545,
-        b=2.327114765543187e-06,
-        c=4.047156113988152e-09,
-        L=460.0,
-        load=LoadSpec((Constant(20.0 / 5.7e7),)),
-    )
+    p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
     v = run_monotone(p_big, pair, max_iter=8, strict=False)
     assert v.status == "monotonicity-violation"
@@ -314,10 +327,15 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
     assert calls == {"psi": 1, "simpson_weights": 2}
 
 
-def test_pair_operator_is_built_once_and_follows_the_span():
+def test_pair_operator_is_built_with_the_pair():
     pair = make_sine_pair(standard_problem(), LAM, 101)
-    op = pair.operator(2.0)
-    assert pair.operator(2.0) is op
+    op = pair.operator
     assert (op.M, op.N, op.L, op.grid_points) == (pair.M, pair.N, 2.0, 101)
-    other = pair.operator(3.0)
-    assert other.L == 3.0 and pair.operator(3.0) is other
+    assert np.array_equal(op.grid, pair.grid)
+
+
+def test_iterate_once_refuses_a_problem_of_another_span():
+    pair = make_sine_pair(standard_problem(), LAM, 101)
+    longer = MelanProblem(a=0.1, b=0.1, c=0.1, L=3.0, load=LoadSpec((Constant(0.1),)))
+    with pytest.raises(ValueError, match="operator built for"):
+        iterate_once(pair.alpha, pair, longer)
