@@ -24,6 +24,7 @@ from .monotone import (
     BoundPair,
     MelanProblem,
     MonotoneVerdict,
+    _slack,
     make_sine_pair,
     run_monotone,
 )
@@ -158,12 +159,16 @@ def derive_coefficients(bp: BridgeParams) -> Tuple[float, float, float]:
     """Map physical parameters to the (a, b, c) of the nonlinear model.
 
     a = H/EI, b = (q/H)*(EcAc/EI)/Lc and c = (q/H)*b, with q/H = 8n/L when
-    the sag-span ratio is given.
+    the sag-span ratio is given.  Raises ConfigError when a coefficient
+    overflows (an EI too small for the other data).
     """
     r = _resolve(bp)
     a = r.H / bp.EI
     b = r.qh * (bp.EcAc / bp.EI) / r.Lc
     c = r.qh * b
+    for name, value in (("a", a), ("b", b), ("c", c)):
+        if not np.isfinite(value):
+            raise ConfigError(f"model coefficient {name} = {value} overflows (EI = {bp.EI:.6g})")
     return float(a), float(b), float(c)
 
 
@@ -297,14 +302,6 @@ class BridgeSolution:
     deflection: GridSolution
     h_w: float
 
-    @property
-    def lower(self):
-        return self.monotone.lower
-
-    @property
-    def upper(self):
-        return self.monotone.upper
-
 
 def _envelope_points(live_load: LoadSpec, L: float) -> np.ndarray:
     """Positions at which the envelope condition is checked.
@@ -348,7 +345,7 @@ def solve_bridge(
     x_env = _envelope_points(live_load, L)
     p_env = live_load.evaluate(x_env, L)
     bound = report.envelope_sine * np.sin(np.pi * x_env / L) + report.envelope_const
-    slack = 1e-9 * max(1.0, float(np.max(np.abs(p_env))))
+    slack = _slack(p_env)
     below = float(np.min(p_env))
     excess = float(np.max(p_env - bound))
     if below < -slack or excess > slack:
@@ -376,10 +373,11 @@ def solve_bridge(
             stacklevel=2,
         )
 
-    problem = MelanProblem(
-        a=report.a, b=report.b, c=report.c, L=L,
-        load=live_load.scaled(1.0 / bp.EI),
-    )
+    load = live_load.scaled(1.0 / bp.EI)
+    try:
+        problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
+    except ValueError as exc:
+        raise ConfigError(f"the bridge data give no Melan problem: {exc}") from exc
     pair: BoundPair = make_sine_pair(problem, lam, grid_points)
     verdict = run_monotone(problem, pair, max_iter=max_iter, tol=tol, strict=not force)
 

@@ -69,21 +69,24 @@ def _integer(block: dict, field: str, path: str, default: int) -> int:
     return value
 
 
+# Closed-form load terms: config tag -> (class, its numeric fields in order).
+_TERMS = {
+    "constant": (Constant, ("value",)),
+    "affine": (Affine, ("c0", "c1")),
+    "sine": (SineHalfWave, ("amplitude",)),
+    "cubic": (Cubic, ("c3",)),
+    "sinh": (SinhTerm, ("coef", "rate")),
+}
+
+
 def _load_term(entry: dict, index: int):
     path = f"load[{index}]"
     if not isinstance(entry, dict) or "type" not in entry:
         raise _fail(path, "each load term must be an object with a 'type' tag")
     tag = entry["type"]
-    if tag == "constant":
-        return Constant(_number(entry, "value", path))
-    if tag == "affine":
-        return Affine(_number(entry, "c0", path), _number(entry, "c1", path))
-    if tag == "sine":
-        return SineHalfWave(_number(entry, "amplitude", path))
-    if tag == "cubic":
-        return Cubic(_number(entry, "c3", path))
-    if tag == "sinh":
-        return SinhTerm(_number(entry, "coef", path), _number(entry, "rate", path))
+    if isinstance(tag, str) and tag in _TERMS:
+        cls, fields = _TERMS[tag]
+        return cls(*(_number(entry, name, path) for name in fields))
     if tag == "sampled":
         values = entry.get("values")
         if not isinstance(values, list) or not values:
@@ -348,6 +351,8 @@ def _run_iterate(config: dict, args) -> int:
     except ValueError as exc:
         raise _fail("problem", str(exc)) from exc
     lam = _number(block, "lambda", "problem", required=False)
+    if lam is not None and lam < 0.0:
+        raise _fail("problem.lambda", f"expected a nonnegative number, got {lam!r}")
     num = _numerics(config, args)
     out = _out_dir(config, args)
 

@@ -159,18 +159,10 @@ def contraction_rho(
 
 @dataclass(frozen=True)
 class SineCheck:
-    """Result of checking the half-wave sine bracket construction.
-
-    envelope_sine and envelope_const describe the admissible load envelope
-    p(x) <= envelope_sine*sin(pi*x/L) + envelope_const (with p >= 0) under
-    which the sine upper bound dominates the load.
-    """
+    """The sine bracket's linearization coefficients and its condition reports."""
 
     M: float
     N: float
-    lam: float
-    envelope_sine: float
-    envelope_const: float
     reports: List[ConditionReport]
 
 
@@ -178,29 +170,20 @@ def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) ->
     """Check the conditions under which lam*sin(pi*x/L) brackets the solution.
 
     The induced linearization coefficients are M = a + 2*b*lam*L/pi and
-    N = c + b*lam*pi**2/L**2 (the sine's own integral and curvature).
-    Reported conditions: positivity of the linear solution operator, and
-    the sine form of the uniqueness bound,
-    lam*(L**3/4)*b*(2/pi + pi**2/4) <= 1.
+    N = c + b*lam*pi**2/L**2 (the sine's own integral and curvature); this
+    is the one place they are computed.  Reported conditions: positivity of
+    the linear solution operator, and the sine form of the uniqueness
+    bound, lam*(L**3/4)*b*(2/pi + pi**2/4) <= 1.
 
-    lam = 0 is the degenerate flat bracket: both envelope coefficients
-    vanish and the uniqueness bound holds trivially.
+    lam = 0 is the degenerate flat bracket: M = a, N = c and the
+    uniqueness bound holds trivially.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     M = a + 2.0 * b * lam * L / np.pi
     N = c + b * lam * np.pi**2 / L**2
-    envelope_sine = lam * np.pi**4 / L**4 + a * lam * np.pi**2 / L**2 + 2.0 * b * lam**2 * np.pi / L
-    envelope_const = 2.0 * c * lam * L / np.pi
     reports = [
         check_positivity(M, N, L),
         _report("uniqueness", lam * (L**3 / 4.0) * b * (2.0 / np.pi + np.pi**2 / 4.0), 1.0),
     ]
-    return SineCheck(
-        M=float(M),
-        N=float(N),
-        lam=float(lam),
-        envelope_sine=float(envelope_sine),
-        envelope_const=float(envelope_const),
-        reports=reports,
-    )
+    return SineCheck(M=float(M), N=float(N), reports=reports)

@@ -332,10 +332,11 @@ class LinearOperator:
     Everything a solve needs that does not depend on the load is computed
     once, when the operator is built: the grid x, psi(x), gm_row_integral(x),
     zeta and 1 + N*zeta.  SingularResonance is raised here when 1 + N*zeta
-    vanishes.  The profile of a Sampled load with one sample per grid node
-    (Simpson weights, kernel factors, block plans) is built on the first such
-    solve and kept, so closed-form solves never pay for it; a Sampled load of
-    any other size gets a throwaway profile.
+    vanishes, NonFiniteSolution when those profiles overflow.  The profile
+    of a Sampled load with one sample per grid node (Simpson weights, kernel
+    factors, block plans) is built on the first such solve and kept, so
+    closed-form solves never pay for it; a Sampled load of any other size
+    gets a throwaway profile.
 
     Reuse one operator for every load with the same coefficients, as the
     monotone iteration does for all sweeps of a bracket: each solve is then
@@ -351,9 +352,12 @@ class LinearOperator:
         self.M, self.N, self.L, self.grid_points = M, N, L, grid_points
         self.params = params
         self.grid = x
-        self.psi = _read_only(psi(x, params))
-        self.gm_row = _read_only(gm_row_integral(x, params))
-        self.zeta = zeta(params)
+        try:
+            self.psi = _read_only(psi(x, params))
+            self.gm_row = _read_only(gm_row_integral(x, params))
+            self.zeta = zeta(params)
+        except OverflowError as exc:
+            raise NonFiniteSolution(f"kernel profiles overflow at M = {M:.6g}") from exc
         coupling = N * self.zeta
         self.denom = 1.0 + coupling
         if abs(self.denom) < _SINGULAR_TOL * max(1.0, abs(coupling)):

@@ -26,6 +26,7 @@ from .criteria import (
     ConditionReport,
     _report,
     check_positivity,
+    check_sine_conditions,
     check_uniqueness,
     contraction_rho,
 )
@@ -57,6 +58,11 @@ __all__ = [
     "error_bounds",
     "iterate_melan",
 ]
+
+
+def _slack(values: np.ndarray) -> float:
+    """Roundoff allowance 1e-9*max(1, max|values|) for comparisons against `values`."""
+    return 1e-9 * max(1.0, float(np.max(np.abs(values))))
 
 
 @dataclass(frozen=True)
@@ -122,8 +128,8 @@ class BoundPair:
         second derivatives, and that the frozen coefficients dominate the
         running ones: M >= a + b*integral(beta) and N >= c + b*max(-beta'').
         """
-        slack_y = 1e-9 * max(1.0, float(np.max(np.abs(self.beta.y))))
-        slack_pp = 1e-9 * max(1.0, float(np.max(np.abs(self.beta.ypp))))
+        slack_y = _slack(self.beta.y)
+        slack_pp = _slack(self.beta.ypp)
         if np.any(self.alpha.y < -slack_y):
             raise InvalidPair("lower bound dips below zero somewhere")
         if np.any(self.alpha.ypp > slack_pp):
@@ -255,19 +261,18 @@ def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
 
 def _verify_bound(name: str, sign: float, shape, problem: MelanProblem,
                   grid_points: int) -> ConditionReport:
-    """Worst interior value of sign*(model(shape) - p) against 1e-9*max(1, |p|)."""
+    """Worst value of sign*(model(shape) - p) over every node, against _slack(p)."""
     x = uniform_grid(problem.L, grid_points)
     p = problem.load.evaluate(x, problem.L)
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(p))))
     defect = sign * (_apply_model(shape, problem, x) - p)
-    return _report(name, float(np.max(defect[2:-2])), tol)
+    return _report(name, float(np.max(defect)), _slack(p))
 
 
 def verify_lower(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
     """Check that a candidate is a lower bounding function for the model.
 
-    The defining inequality is model(shape) <= p away from the ends; the
-    report's lhs is the worst interior excess of model(shape) over p.
+    The defining inequality is model(shape) <= p on the whole span, ends
+    included; the report's lhs is the worst excess of model(shape) over p.
     """
     return _verify_bound("lower-solution", 1.0, shape, problem, grid_points)
 
@@ -284,10 +289,10 @@ def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> Condi
 def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -> BoundPair:
     """Build the zero/sine bracket with its frozen linearization coefficients.
 
-    M = a + b*(2*lam*L/pi) and N = c + b*lam*pi**2/L**2 are exactly the
-    values needed for the sine bound, so the pair validates by
-    construction.  lam = 0 degenerates to the (well-formed) equal pair
-    alpha = beta = 0 with M = a, N = c.
+    M = a + 2*b*lam*L/pi and N = c + b*lam*pi**2/L**2 are exactly the
+    values needed for the sine bound (taken from check_sine_conditions), so
+    the pair validates by construction.  lam = 0 degenerates to the
+    (well-formed) equal pair alpha = beta = 0 with M = a, N = c.
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
@@ -301,14 +306,13 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     )
     zero = np.zeros_like(x)
     alpha = Iterate(y=zero, ypp=zero.copy(), integral=0.0)
-    M = problem.a + problem.b * beta.integral
-    N = problem.c + problem.b * lam * np.pi**2 / L**2
+    sine_check = check_sine_conditions(problem.a, problem.b, problem.c, L, lam)
     return BoundPair(
         grid=x,
         alpha=alpha,
         beta=beta,
-        M=float(M),
-        N=float(N),
+        M=sine_check.M,
+        N=sine_check.N,
         lam=float(lam),
         lower_shape=ZeroShape(),
         upper_shape=sine,
@@ -343,26 +347,6 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
 
-def _verify_pair(pair: BoundPair, problem: MelanProblem, strict: bool,
-                 warnings: List[str]) -> None:
-    """Run the initial-bound checks, raising or warning per `strict`."""
-    pair.validate(problem)
-    grid_points = len(pair.grid)
-    reports = (
-        verify_lower(pair.lower_shape, problem, grid_points),
-        verify_upper(pair.upper_shape, problem, grid_points),
-    )
-    for rep in reports:
-        if not rep.satisfied:
-            msg = (
-                f"initial {rep.name} check fails by {rep.lhs:.6g} "
-                f"(tolerance {rep.rhs:.6g})"
-            )
-            if strict:
-                raise InvalidPair(msg)
-            warnings.append(msg)
-
-
 def run_monotone(
     problem: MelanProblem,
     pair: BoundPair,
@@ -381,17 +365,23 @@ def run_monotone(
     """
     warnings: List[str] = []
 
+    def refuse(error, message: str) -> None:
+        if strict:
+            raise error(message)
+        warnings.append(message)
+
     positivity = check_positivity(pair.M, pair.N, problem.L)
     if not positivity.satisfied:
-        msg = (
-            f"positivity condition fails: N = {positivity.lhs:.6g} > "
-            f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed"
-        )
-        if strict:
-            raise NotApplicable(msg)
-        warnings.append(msg)
+        refuse(NotApplicable, f"positivity condition fails: N = {positivity.lhs:.6g} > "
+               f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
 
-    _verify_pair(pair, problem, strict, warnings)
+    pair.validate(problem)
+    nodes = len(pair.grid)
+    for rep in (verify_lower(pair.lower_shape, problem, nodes),
+                verify_upper(pair.upper_shape, problem, nodes)):
+        if not rep.satisfied:
+            refuse(InvalidPair, f"initial {rep.name} check fails by {rep.lhs:.6g} "
+                   f"(tolerance {rep.rhs:.6g})")
 
     uniqueness = check_uniqueness(
         problem.a, problem.b, problem.c, pair.M, pair.N, problem.L,
@@ -407,8 +397,8 @@ def run_monotone(
             f"contraction factor rho = {rho:.6g} >= 1: no a-priori convergence rate"
         )
 
-    tol_y = 1e-9 * max(1.0, float(np.max(np.abs(pair.beta.y))))
-    tol_pp = 1e-9 * max(1.0, float(np.max(np.abs(pair.beta.ypp))))
+    tol_y = _slack(pair.beta.y)
+    tol_pp = _slack(pair.beta.ypp)
     gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
     gaps = [float(np.max(np.abs(pair.beta.y - pair.alpha.y)))]
     if tol is None:
@@ -417,12 +407,11 @@ def run_monotone(
     alphas = [pair.alpha]
     betas = [pair.beta]
     gap_bounds = [(problem.L**2 / 4.0) * gap0_pp]
-    status = "converged" if gaps[0] < tol else "max-iters"
     violated = False
-    iterations = 0
 
-    while status == "max-iters" and iterations < max_iter:
-        n = iterations + 1
+    # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
+    while not gaps[-1] < tol and len(gaps) <= max_iter:
+        n = len(gaps)
         new_alpha = iterate_once(alphas[-1], pair, problem)
         new_beta = iterate_once(betas[-1], pair, problem)
 
@@ -436,34 +425,29 @@ def run_monotone(
         ]
         for label, excess, allowance in checks:
             if excess > allowance:
-                msg = f"sweep {n}: {label} (excess {float(excess):.6g})"
-                if strict:
-                    raise MonotonicityViolation(msg)
-                warnings.append(msg)
+                refuse(MonotonicityViolation, f"sweep {n}: {label} (excess {float(excess):.6g})")
                 violated = True
 
         alphas.append(new_alpha)
         betas.append(new_beta)
         gap_bounds.append((problem.L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp)
-        iterations = n
         gaps.append(float(np.abs(new_beta.y - new_alpha.y).max()))
-        if gaps[-1] < tol:
-            status = "converged"
 
-    if violated:
-        status = "monotonicity-violation"
+    iterations = len(gaps) - 1
+    converged = gaps[-1] < tol
+    status = "monotonicity-violation" if violated else "converged" if converged else "max-iters"
 
     lower = IterationTrace("lower", tuple(alphas))
     upper = IterationTrace("upper", tuple(betas))
     if status != "converged":
+        # Strict mode raised at the first violation, so only max-iters gets here.
         stopped = f"bracket width {gaps[-1]:.6g} after {iterations} sweeps"
-        if strict and not violated:
+        if strict:
             raise NotConverged(
                 f"{stopped} (tolerance {tol:.6g})", lower=lower, upper=upper
             )
         warnings.append(f"stopped with {stopped} (tolerance {tol:.6g})")
 
-    certified = status == "converged" and not violated and not warnings
     return MonotoneVerdict(
         lower=lower,
         upper=upper,
@@ -478,7 +462,7 @@ def run_monotone(
         uniqueness=uniqueness,
         status=status,
         iterations=iterations,
-        certified=certified,
+        certified=status == "converged" and not warnings,
         warnings=tuple(warnings),
     )
 

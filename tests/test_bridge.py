@@ -17,14 +17,18 @@ from melan import (
     Constant,
     LinearProblem,
     LoadSpec,
+    MelanProblem,
     Sampled,
+    SineHalfWave,
+    SineShape,
     applicability,
     cable_length,
-    check_sine_conditions,
     derive_coefficients,
+    iterate_melan,
     load_envelope,
     solve_bridge,
     solve_linear,
+    verify_upper,
 )
 from melan.errors import (
     ConfigError,
@@ -32,6 +36,7 @@ from melan.errors import (
     MissingCableLength,
     NotApplicable,
 )
+from melan.monotone import _apply_model
 from melan.quadrature import integrate, uniform_grid
 
 
@@ -207,14 +212,16 @@ def test_envelope_span_460():
 
 
 def test_envelope_is_scaled_sine_condition_envelope():
-    # the physical envelope is the model-scale sine envelope times EI
-    bp = span_100()
-    a, b, c = derive_coefficients(bp)
-    rep = applicability(bp)
-    sc = check_sine_conditions(a, b, c, bp.L, rep.lam)
-    A, B = load_envelope(bp)
-    assert A == pytest.approx(sc.envelope_sine * bp.EI, rel=1e-12)
-    assert B == pytest.approx(sc.envelope_const * bp.EI, rel=1e-12)
+    # A*sin(pi*x/L) + B is EI times the model applied to the L/100 sine, so
+    # the envelope holds exactly the loads the standard upper bound dominates
+    for bp in (span_150(), span_100(), span_460()):
+        a, b, c = derive_coefficients(bp)
+        lam = applicability(bp).lam
+        problem = MelanProblem(a=a, b=b, c=c, L=bp.L, load=LoadSpec((Constant(0.0),)))
+        x = uniform_grid(bp.L, 1001)
+        A, B = load_envelope(bp)
+        model = bp.EI * _apply_model(SineShape(lam), problem, x)
+        np.testing.assert_allclose(A * np.sin(np.pi * x / bp.L) + B, model, rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +335,45 @@ def test_sampled_load_is_checked_at_its_own_nodes():
     x = np.linspace(0.0, bp.L, 1001)
     p = spike.evaluate(x, bp.L)
     assert np.all(p <= rep.envelope_sine * np.sin(np.pi * x / bp.L) + rep.envelope_const)
+
+
+def test_initial_upper_check_covers_the_end_nodes():
+    # A constant load 1% above the sine bound's end value c*integral(sine)
+    # exceeds model(sine) only within 0.13 m of each end: at the end node
+    # and its neighbour.  The envelope check refuses the same load.
+    bp = span_100()
+    rep = applicability(bp)
+    end_value = rep.c * 2.0 * rep.lam * bp.L / np.pi
+    load = LoadSpec((Constant(1.01 * end_value),))
+    problem = MelanProblem(a=rep.a, b=rep.b, c=rep.c, L=bp.L, load=load)
+    assert not verify_upper(SineShape(rep.lam), problem).satisfied
+    assert not iterate_melan(problem, lam=rep.lam, strict=False).certified
+    with pytest.raises(EnvelopeViolation):
+        solve_bridge(bp, load.scaled(bp.EI), grid_points=201)
+
+
+def test_run_and_report_share_one_positivity_check():
+    # bridges in the benchmark's design-sweep ranges that pass positivity,
+    # each under a load inside its envelope: the run's positivity report is
+    # the applicability report's, down to the last bit of its bound
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 60:
+        L = float(rng.uniform(60.0, 300.0))
+        n = float(rng.uniform(1.0 / 12.0, 1.0 / 7.0))
+        bp = BridgeParams(
+            L=L, n=n, H=float(rng.uniform(10.0, 200.0)) * L / (8.0 * n),
+            EI=float(10 ** rng.uniform(np.log10(5e7), np.log10(2e9))),
+            EcAc=float(10 ** rng.uniform(np.log10(2e6), np.log10(6e7))),
+        )
+        rep = applicability(bp)
+        if not rep.positivity.satisfied:
+            continue
+        load = LoadSpec((Constant(0.5 * rep.envelope_const),
+                         SineHalfWave(0.5 * rep.envelope_sine)))
+        result = solve_bridge(bp, load, grid_points=101)
+        assert result.monotone.positivity == result.report.positivity
+        checked += 1
 
 
 def test_forced_excessive_load_runs_uncertified():

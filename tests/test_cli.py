@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,40 @@ def test_non_finite_solution_exits_three(tmp_path):
         rc = main(["solve-linear", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 3
     assert not (tmp_path / "solution.csv").exists()
+
+
+SPAN_100 = {"L": 100.0, "EI": 4.557e8, "EcAc": 4121700.0, "Lc": 103.2,
+            "n": 1.0 / 9.0, "H": 19850.4}
+
+
+@pytest.mark.parametrize(
+    "mode, problem, load, flags, code, message",
+    [
+        ("iterate", {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.0, "lambda": -1.0},
+         [{"type": "constant", "value": 0.1}], [], 1,
+         "error: config field 'problem.lambda': "),
+        ("check", {**SPAN_100, "EI": 1e-320}, [], [], 1,
+         "error: model coefficient a = inf overflows"),
+        ("bridge-report", {**SPAN_100, "EcAc": 0.0},
+         [{"type": "constant", "value": 100.0}], ["--force"], 1,
+         "error: the bridge data give no Melan problem: b must be positive"),
+        ("solve-linear", {"M": 1e200, "N": 0.0, "L": 1.0},
+         [{"type": "constant", "value": 1.0}], [], 3,
+         "numerical failure: kernel profiles overflow"),
+    ],
+    ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
+         "overflowing-kernel"],
+)
+def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
+                                           flags, code, message):
+    cfg = write_config(tmp_path / "bad.json", {"problem": problem, "load": load})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the forced envelope refusal warns
+        rc = main([mode, "--config", cfg, "--out", str(out), *flags])
+    assert rc == code
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 # ---------------------------------------------------------------------------

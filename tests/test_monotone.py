@@ -16,6 +16,7 @@ from melan import (
     MelanProblem,
     SineShape,
     ZeroShape,
+    check_sine_conditions,
     error_bounds,
     fd_solve_nonlinear,
     iterate_melan,
@@ -80,6 +81,27 @@ def test_insufficient_amplitude_rejected_at_run_time():
     # constant load near the endpoints, so the upper-solution check fails
     with pytest.raises(InvalidPair, match="upper-solution"):
         iterate_melan(standard_problem(), lam=2.0 / 100.0, grid_points=1001)
+
+
+def test_sine_pair_takes_its_coefficients_from_the_sine_conditions():
+    # one (M, N) formula: the pair and check_sine_conditions agree bit for bit
+    rng = np.random.default_rng(9)
+    for _ in range(200):
+        a, b, c = 10.0 ** rng.uniform(-7.0, -2.0, 3)
+        L = float(rng.uniform(60.0, 300.0))
+        problem = MelanProblem(a=a, b=b, c=c, L=L, load=LoadSpec((Constant(0.0),)))
+        pair = make_sine_pair(problem, L / 100.0, 7)
+        sc = check_sine_conditions(a, b, c, L, L / 100.0)
+        assert (pair.M, pair.N) == (sc.M, sc.N)
+
+
+def test_downgraded_initial_check_leaves_the_run_uncertified():
+    # the L/100 bracket fails the upper-solution check (see the strict test
+    # above); without strict mode that failure is the first warning
+    v = iterate_melan(standard_problem(), lam=0.02, strict=False)
+    assert v.warnings[0].startswith("initial upper-solution check fails")
+    assert v.status == "monotonicity-violation"
+    assert not v.certified
 
 
 def test_verify_shapes_against_load_sign():
