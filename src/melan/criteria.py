@@ -70,6 +70,8 @@ def sigma(x: float) -> float:
         den = 6.0 * x * np.cosh(x) + 6.0 * x - 12.0 * np.sinh(x) - x**3
         return 3.0 * x**3 / den
     e = np.exp(-x)
+    if e == 0.0:  # the value has underflowed too; x**3 would overflow past 5.6e102
+        return 0.0
     den = (3.0 * x - 6.0) + (6.0 * x - x**3) * e + (3.0 * x + 6.0) * e * e
     return 3.0 * x**3 * e / den
 

@@ -34,6 +34,7 @@ from .errors import (
     BoundUnavailable,
     InvalidPair,
     MonotonicityViolation,
+    NonFiniteSolution,
     NotApplicable,
     NotConverged,
 )
@@ -101,9 +102,9 @@ class BoundPair:
 
     `lower_shape`/`upper_shape` are the analytic candidates the samples came
     from, so run_monotone verifies the defining differential inequalities
-    exactly instead of by finite differences.  `operator` is the linear
-    operator for (M, N) on the pair's grid, built with the pair, so every
-    sweep of a run shares one.
+    exactly instead of by finite differences.  `operator`, the linear
+    operator for (M, N) on the pair's grid, is built with the pair, and
+    `load_samples` samples a problem's load there once, for every sweep.
     """
 
     grid: np.ndarray
@@ -115,10 +116,20 @@ class BoundPair:
     lower_shape: object
     upper_shape: object
     operator: LinearOperator = field(init=False, repr=False, compare=False)
+    _samples: tuple = field(init=False, repr=False, compare=False, default=(None, None))
 
     def __post_init__(self):
         op = LinearOperator(self.M, self.N, float(self.grid[-1]), len(self.grid))
         object.__setattr__(self, "operator", op)
+
+    def load_samples(self, problem: MelanProblem) -> np.ndarray:
+        """problem.load on the pair's grid (read-only), kept until another problem asks."""
+        held, samples = self._samples
+        if held is not problem:
+            samples = problem.load.evaluate(self.grid, problem.L)
+            samples.flags.writeable = False
+            object.__setattr__(self, "_samples", (problem, samples))
+        return samples
 
     def validate(self, problem: MelanProblem) -> None:
         """Raise InvalidPair unless the bracket's defining inequalities hold.
@@ -260,10 +271,8 @@ def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
 
 
 def _verify_bound(name: str, sign: float, shape, problem: MelanProblem,
-                  grid_points: int) -> ConditionReport:
-    """Worst value of sign*(model(shape) - p) over every node, against _slack(p)."""
-    x = uniform_grid(problem.L, grid_points)
-    p = problem.load.evaluate(x, problem.L)
+                  x: np.ndarray, p: np.ndarray) -> ConditionReport:
+    """Worst sign*(model(shape) - p) over the nodes x, p the load there, against _slack(p)."""
     defect = sign * (_apply_model(shape, problem, x) - p)
     return _report(name, float(np.max(defect)), _slack(p))
 
@@ -274,12 +283,16 @@ def verify_lower(shape, problem: MelanProblem, grid_points: int = 1001) -> Condi
     The defining inequality is model(shape) <= p on the whole span, ends
     included; the report's lhs is the worst excess of model(shape) over p.
     """
-    return _verify_bound("lower-solution", 1.0, shape, problem, grid_points)
+    x = uniform_grid(problem.L, grid_points)
+    p = problem.load.evaluate(x, problem.L)
+    return _verify_bound("lower-solution", 1.0, shape, problem, x, p)
 
 
 def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
     """Check that a candidate is an upper bounding function (model(shape) >= p)."""
-    return _verify_bound("upper-solution", -1.0, shape, problem, grid_points)
+    x = uniform_grid(problem.L, grid_points)
+    p = problem.load.evaluate(x, problem.L)
+    return _verify_bound("upper-solution", -1.0, shape, problem, x, p)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +305,14 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     M = a + 2*b*lam*L/pi and N = c + b*lam*pi**2/L**2 are exactly the
     values needed for the sine bound (taken from check_sine_conditions), so
     the pair validates by construction.  lam = 0 degenerates to the
-    (well-formed) equal pair alpha = beta = 0 with M = a, N = c.
+    (well-formed) equal pair alpha = beta = 0 with M = a, N = c.  A sine
+    whose curvature lam*(pi/L)**2 overflows raises NonFiniteSolution.
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     L = problem.L
+    if not np.isfinite(lam * (np.pi / L) ** 2):
+        raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
     x = uniform_grid(L, grid_points)
     sine = SineShape(lam)
     beta = Iterate(
@@ -327,14 +343,14 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
         F = p + (a - M + b*I)*prev'' + (N - c)*I,    I = integral(prev),
 
     as a single sampled load on the pair's grid, then solves the linear
-    model with (M, N) through the pair's prepared operator.  Sampling the
-    whole right side keeps both bracket sides on an identical numerical
-    footing, which the ordering checks rely on.
+    model with (M, N) through the pair's prepared operator.  p is the
+    pair's load_samples, taken once per run, so both bracket sides get the
+    same right-side arithmetic, which the ordering checks rely on.
     """
     x = pair.grid
     I = prev.integral
     F = (
-        problem.load.evaluate(x, problem.L)
+        pair.load_samples(problem)
         + (problem.a - pair.M + problem.b * I) * prev.ypp
         + (pair.N - problem.c) * I
     )
@@ -361,8 +377,11 @@ def run_monotone(
     monotonicity breaks raise MonotonicityViolation, and failure to reach
     `tol` within `max_iter` sweeps raises NotConverged (with traces
     attached).  With strict=False those conditions downgrade to warnings,
-    the run continues, and the result is marked uncertified.
+    the run continues, and the result is marked uncertified.  A pair built
+    for another span raises ValueError.
     """
+    if pair.operator.L != problem.L:
+        raise ValueError(f"pair built for span {pair.operator.L!r}, problem span {problem.L!r}")
     warnings: List[str] = []
 
     def refuse(error, message: str) -> None:
@@ -376,9 +395,9 @@ def run_monotone(
                f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
 
     pair.validate(problem)
-    nodes = len(pair.grid)
-    for rep in (verify_lower(pair.lower_shape, problem, nodes),
-                verify_upper(pair.upper_shape, problem, nodes)):
+    p = pair.load_samples(problem)
+    for rep in (_verify_bound("lower-solution", 1.0, pair.lower_shape, problem, pair.grid, p),
+                _verify_bound("upper-solution", -1.0, pair.upper_shape, problem, pair.grid, p)):
         if not rep.satisfied:
             refuse(InvalidPair, f"initial {rep.name} check fails by {rep.lhs:.6g} "
                    f"(tolerance {rep.rhs:.6g})")

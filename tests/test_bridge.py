@@ -376,6 +376,21 @@ def test_run_and_report_share_one_positivity_check():
         checked += 1
 
 
+def test_solve_bridge_evaluates_the_load_at_most_twice(monkeypatch):
+    # once for the envelope check, once for the whole monotone run
+    calls = []
+    original = LoadSpec.evaluate
+
+    def counted(self, x, length):
+        calls.append(self)
+        return original(self, x, length)
+
+    monkeypatch.setattr(LoadSpec, "evaluate", counted)
+    run = solve_bridge(span_100(), LoadSpec((Constant(200.0),)))
+    assert run.monotone.iterations >= 3
+    assert len(calls) <= 2
+
+
 def test_forced_excessive_load_runs_uncertified():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

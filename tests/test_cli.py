@@ -393,6 +393,26 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "summary.json").exists()
 
 
+def test_overflowing_bracket_amplitude_exits_three_quietly(tmp_path):
+    # lambda = 1e308 overflows the sine bound's curvature and sigma's x**3
+    cfg = write_config(
+        tmp_path / "huge.json",
+        {"problem": {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.0, "lambda": 1e308},
+         "load": [{"type": "constant", "value": 0.1}]},
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "melan.cli", "iterate", "--config", cfg, "--out",
+         str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=child_env(),
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
+
+
 _IMPORT_GUARD = """
 import sys
 import melan.cli

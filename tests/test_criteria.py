@@ -1,5 +1,7 @@
 """Certification functionals: sigma, xi, and the condition checks."""
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -66,6 +68,16 @@ def test_sigma_positive_and_decreasing():
     vals = np.array([sigma(float(x)) for x in xs])
     assert np.all(vals > 0.0)
     assert np.all(np.diff(vals) < 0.0)
+
+
+def test_sigma_underflows_to_zero_for_huge_arguments():
+    # exp(-x) underflows past x = 745; x**3 alone overflows past 5.6e102
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = np.array([sigma(float(x)) for x in np.logspace(2.8, 308, 200)])
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals >= 0.0)
+    assert np.all(np.diff(vals) <= 0.0)
 
 
 def test_x_squared_sigma_asymptotics():

@@ -8,14 +8,17 @@ import numpy as np
 import pytest
 
 from melan import (
+    BridgeParams,
     Constant,
     FdConfig,
     Iterate,
     LinearProblem,
     LoadSpec,
     MelanProblem,
+    Sampled,
     SineShape,
     ZeroShape,
+    applicability,
     check_sine_conditions,
     error_bounds,
     fd_solve_nonlinear,
@@ -30,6 +33,7 @@ from melan import (
 from melan.errors import (
     BoundUnavailable,
     InvalidPair,
+    NonFiniteSolution,
     NotApplicable,
     NotConverged,
 )
@@ -361,3 +365,94 @@ def test_iterate_once_refuses_a_problem_of_another_span():
     longer = MelanProblem(a=0.1, b=0.1, c=0.1, L=3.0, load=LoadSpec((Constant(0.1),)))
     with pytest.raises(ValueError, match="operator built for"):
         iterate_once(pair.alpha, pair, longer)
+
+
+def test_run_monotone_refuses_a_pair_of_another_span():
+    # no sweep runs for a zero load, so the refusal must come up front
+    zero = LoadSpec((Constant(0.0),))
+    pair = make_sine_pair(MelanProblem(0.1, 0.1, 0.1, 2.0, zero), 0.0, 101)
+    with pytest.raises(ValueError, match="span 2.0, problem span 3.0"):
+        run_monotone(MelanProblem(0.1, 0.1, 0.1, 3.0, zero), pair)
+
+
+def test_overflowing_sine_curvature_raises():
+    with pytest.raises(NonFiniteSolution, match="curvature overflows"):
+        make_sine_pair(standard_problem(), 1e308, 101)
+
+
+# ---------------------------------------------------------------------------
+# the load is sampled once per run
+
+
+def sampled_load_problem():
+    x = np.linspace(0.0, 2.0, 201)
+    load = LoadSpec((Sampled(0.1 + 0.02 * np.sin(3.0 * x)),))
+    return MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=load)
+
+
+def span_100_problem():
+    # example_6_2 in scaled form, as solve_bridge builds it
+    bp = BridgeParams(L=100.0, EI=4.557e8, EcAc=4121700.0, Lc=103.2,
+                      n=1.0 / 9.0, H=19850.4)
+    rep = applicability(bp)
+    load = LoadSpec((Constant(200.0 / bp.EI),))
+    return MelanProblem(a=rep.a, b=rep.b, c=rep.c, L=bp.L, load=load), rep.lam
+
+
+def verdict_bits(v):
+    iterates = v.lower.iterates + v.upper.iterates
+    arrays = [a.tobytes() for it in iterates for a in (it.y, it.ypp)]
+    return (arrays, [it.integral for it in iterates], v.gaps, v.gap_bounds,
+            v.status, v.M, v.N, v.rho, v.warnings)
+
+
+def test_one_run_evaluates_the_load_once(monkeypatch):
+    calls = []
+    original = LoadSpec.evaluate
+
+    def counted(self, x, length):
+        calls.append(self)
+        return original(self, x, length)
+
+    monkeypatch.setattr(LoadSpec, "evaluate", counted)
+    problem = standard_problem()
+    verdict = run_monotone(problem, make_sine_pair(problem, LAM, 501))
+    assert verdict.iterations >= 3
+    assert calls == [problem.load]
+
+
+@pytest.mark.parametrize("case", ["example_6_2", "sampled-load"])
+def test_every_sweep_rebuilds_from_a_fresh_load_sample(case):
+    problem, lam = span_100_problem() if case == "example_6_2" else (sampled_load_problem(), LAM)
+    pair = make_sine_pair(problem, lam, 1001)
+    v = run_monotone(problem, pair)
+    assert v.certified and v.iterations >= 3
+    a, b, c, L = problem.a, problem.b, problem.c, problem.L
+    for trace in (v.lower, v.upper):
+        for prev, got in zip(trace.iterates, trace.iterates[1:]):
+            F = (problem.load.evaluate(pair.grid, L)
+                 + (a - pair.M + b * prev.integral) * prev.ypp
+                 + (pair.N - c) * prev.integral)
+            sol = solve_linear(LinearProblem(pair.M, pair.N, L, LoadSpec((Sampled(F),))),
+                               grid_points=1001, operator=pair.operator)
+            assert sol.y.tobytes() == got.y.tobytes()
+            assert sol.ypp.tobytes() == got.ypp.tobytes()
+            assert sol.integral_y == got.integral
+
+
+def test_reused_pair_resamples_for_each_problem():
+    first = standard_problem()
+    second = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.05),)))
+    shared = make_sine_pair(first, LAM, 501)
+    reused = [run_monotone(pr, shared) for pr in (first, second)]
+    fresh = [run_monotone(pr, make_sine_pair(pr, LAM, 501)) for pr in (first, second)]
+    assert verdict_bits(reused[1]) != verdict_bits(reused[0])
+    for got, want in zip(reused, fresh):
+        assert verdict_bits(got) == verdict_bits(want)
+
+
+def test_load_samples_are_read_only(standard_pair):
+    samples = standard_pair.load_samples(standard_problem())
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0] = 1.0
