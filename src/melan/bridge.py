@@ -20,14 +20,7 @@ from .criteria import ConditionReport, _report, check_sine_conditions
 from .errors import ConfigError, EnvelopeViolation, MissingCableLength, NotApplicable
 from .linear import GridSolution, SolutionMeta
 from .loads import LoadSpec, Sampled
-from .monotone import (
-    BoundPair,
-    MelanProblem,
-    MonotoneVerdict,
-    _slack,
-    make_sine_pair,
-    run_monotone,
-)
+from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
 from .quadrature import uniform_grid
 
 __all__ = [
@@ -328,16 +321,14 @@ def solve_bridge(
     max_iter: int = 100,
     tol: Optional[float] = None,
     force: bool = False,
-    lam: Optional[float] = None,
 ) -> BridgeSolution:
     """Run the certified two-sided analysis for a live load in kN/m.
 
     The live load must stay inside the admissible envelope and the
     applicability verdict must be positive; `force=True` downgrades both
     refusals to warnings and runs the iteration unverified (its result is
-    then uncertified).  `lam` overrides the L/100 bracket amplitude for
-    exploration; the certification labels only speak about the standard
-    amplitude, so an override also warns.
+    then uncertified).  The bracket is the standard zero/sine pair of
+    amplitude L/100.
     """
     report = applicability(bp)
     L = bp.L
@@ -364,22 +355,13 @@ def solve_bridge(
             f"exceeds the positivity bound {report.positivity.rhs:.6g}"
         )
 
-    if lam is None:
-        lam = report.lam
-    elif lam != report.lam:
-        _warnings.warn(
-            f"bracket amplitude overridden to {lam:.6g}; certification labels "
-            f"apply to the standard amplitude {report.lam:.6g} only",
-            stacklevel=2,
-        )
-
     load = live_load.scaled(1.0 / bp.EI)
     try:
         problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
     except ValueError as exc:
         raise ConfigError(f"the bridge data give no Melan problem: {exc}") from exc
-    pair: BoundPair = make_sine_pair(problem, lam, grid_points)
-    verdict = run_monotone(problem, pair, max_iter=max_iter, tol=tol, strict=not force)
+    pair = make_sine_pair(problem, report.lam, grid_points)
+    verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
 
     meta = SolutionMeta(
         M=verdict.M, N=verdict.N, L=L, grid_points=grid_points,

@@ -114,49 +114,28 @@ def check_smallness(M: float, N: float, L: float) -> ConditionReport:
     return _report("smallness", abs(N), 8.0 * M / L**3)
 
 
-def check_uniqueness(
-    a: float,
-    b: float,
-    c: float,
-    M: float,
-    N: float,
-    L: float,
-    alpha_integral: float = 0.0,
-) -> ConditionReport:
+def check_uniqueness(a: float, b: float, c: float, M: float, N: float,
+                     L: float) -> ConditionReport:
     """Strict uniqueness condition for the nonlinear model within a bracket.
 
-    L**3*N/4 + M - 4/L**2 < a + b*alpha_integral + (L**3/4)*c, where
-    (M, N) are the linearization coefficients and alpha_integral is the
-    integral of the lower bound the bracket starts from.
+    L**3*N/4 + M - 4/L**2 < a + (L**3/4)*c, where (M, N) are the
+    linearization coefficients of a bracket whose lower bound is zero.
     """
     lhs = L**3 * N / 4.0 + M - 4.0 / L**2
-    rhs = a + b * alpha_integral + (L**3 / 4.0) * c
+    rhs = a + (L**3 / 4.0) * c
     return _report("uniqueness", lhs, rhs, strict=True)
 
 
-def contraction_rho(
-    a: float,
-    b: float,
-    c: float,
-    M: float,
-    N: float,
-    L: float,
-    alpha_integral: float = 0.0,
-    alpha_ypp_max: float = 0.0,
-) -> float:
+def contraction_rho(a: float, b: float, c: float, M: float, N: float, L: float) -> float:
     """Contraction factor of the two-sided iteration started from a bracket.
 
-    rho = L*tanh(mu*L/2)/(2*mu) * [(M - a - b*alpha_integral)
-                                   + (L**3/4)*(N - c + b*alpha_ypp_max)],
-    with mu = sqrt(M).  Values below 1 certify geometric shrinking of the
-    bracket; the defaults describe the zero lower bound.
+    rho = L*tanh(mu*L/2)/(2*mu) * [(M - a) + (L**3/4)*(N - c)], with
+    mu = sqrt(M), for a bracket whose lower bound is zero.  Values below 1
+    certify geometric shrinking of the bracket.
     """
     mu = np.sqrt(M)
     lead = L * np.tanh(0.5 * mu * L) / (2.0 * mu)
-    bracket = (M - a - b * alpha_integral) + (L**3 / 4.0) * (
-        N - c + b * alpha_ypp_max
-    )
-    return float(lead * bracket)
+    return float(lead * ((M - a) + (L**3 / 4.0) * (N - c)))
 
 
 @dataclass(frozen=True)

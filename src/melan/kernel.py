@@ -13,7 +13,7 @@ subtractive cancellation for small sqrt(M)*L switch to explicit series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,8 +40,8 @@ class KernelParams:
 
     M: float
     L: float
-    mu: float = 0.0  # derived: sqrt(M)
-    muL: float = 0.0  # derived: sqrt(M) * L
+    mu: float = field(init=False)  # derived: sqrt(M)
+    muL: float = field(init=False)  # derived: sqrt(M) * L
 
     def __post_init__(self):
         if not (self.M > 0.0 and np.isfinite(self.M)):

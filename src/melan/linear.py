@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NonFiniteSolution, NotContractive, SingularResonance
 from .kernel import (
     KernelParams,
+    _clip_domain,
     _gap_to_tanh,
     gm_row_integral,
     psi,
@@ -416,11 +417,7 @@ def gp_convolution(x, problem: LinearProblem):
     or an array of positions in [0, L]; returns matching shape.  Raises
     NonFiniteSolution when any value is NaN or infinite.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    slack = 1e-9 * problem.L
-    if np.any(arr < -slack) or np.any(arr > problem.L + slack):
-        raise ValueError("positions must lie within [0, L]")
-    arr = np.clip(arr, 0.0, problem.L)
+    arr = _clip_domain(np.atleast_1d(x), problem.L)
     A_tot, B_tot, _ = _assemble(problem.load, arr, KernelParams(problem.M, problem.L))
     out = (B_tot - A_tot) / problem.M
     if not np.isfinite(out).all():

@@ -98,63 +98,23 @@ class Iterate:
 
 @dataclass(frozen=True)
 class BoundPair:
-    """An ordered bracket (alpha below, beta above) plus its frozen coefficients.
+    """One problem's zero/sine bracket, as make_sine_pair builds it.
 
-    `lower_shape`/`upper_shape` are the analytic candidates the samples came
-    from, so run_monotone verifies the defining differential inequalities
-    exactly instead of by finite differences.  `operator`, the linear
-    operator for (M, N) on the pair's grid, is built with the pair, and
-    `load_samples` samples a problem's load there once, for every sweep.
+    alpha = 0 lies below and beta = lam*sin(pi*x/L) above, with the frozen
+    coefficients (M, N) that make the pair a bracket.  `p` is the problem's
+    load on the grid (read-only), sampled once for every sweep of a run,
+    and `operator` the linear operator for (M, N) on the grid.
     """
 
+    problem: MelanProblem
     grid: np.ndarray
     alpha: Iterate
     beta: Iterate
     M: float
     N: float
     lam: float
-    lower_shape: object
-    upper_shape: object
-    operator: LinearOperator = field(init=False, repr=False, compare=False)
-    _samples: tuple = field(init=False, repr=False, compare=False, default=(None, None))
-
-    def __post_init__(self):
-        op = LinearOperator(self.M, self.N, float(self.grid[-1]), len(self.grid))
-        object.__setattr__(self, "operator", op)
-
-    def load_samples(self, problem: MelanProblem) -> np.ndarray:
-        """problem.load on the pair's grid (read-only), kept until another problem asks."""
-        held, samples = self._samples
-        if held is not problem:
-            samples = problem.load.evaluate(self.grid, problem.L)
-            samples.flags.writeable = False
-            object.__setattr__(self, "_samples", (problem, samples))
-        return samples
-
-    def validate(self, problem: MelanProblem) -> None:
-        """Raise InvalidPair unless the bracket's defining inequalities hold.
-
-        Checks that the lower bound is nonnegative with nonpositive
-        curvature, the ordering alpha <= beta, the reversed ordering of
-        second derivatives, and that the frozen coefficients dominate the
-        running ones: M >= a + b*integral(beta) and N >= c + b*max(-beta'').
-        """
-        slack_y = _slack(self.beta.y)
-        slack_pp = _slack(self.beta.ypp)
-        if np.any(self.alpha.y < -slack_y):
-            raise InvalidPair("lower bound dips below zero somewhere")
-        if np.any(self.alpha.ypp > slack_pp):
-            raise InvalidPair("lower bound has positive curvature somewhere")
-        if np.any(self.alpha.y > self.beta.y + slack_y):
-            raise InvalidPair("lower bound exceeds upper bound somewhere")
-        if np.any(self.alpha.ypp < self.beta.ypp - slack_pp):
-            raise InvalidPair("second derivatives of the pair are not reverse-ordered")
-        need_m = problem.a + problem.b * self.beta.integral
-        if self.M < need_m - 1e-12 * max(1.0, need_m):
-            raise InvalidPair(f"M = {self.M} is below a + b*integral(beta) = {need_m}")
-        need_n = problem.c + problem.b * max(float(np.max(-self.beta.ypp)), 0.0)
-        if self.N < need_n - 1e-12 * max(1.0, need_n):
-            raise InvalidPair(f"N = {self.N} is below c + b*max(-beta'') = {need_n}")
+    p: np.ndarray
+    operator: LinearOperator
 
 
 @dataclass(frozen=True)
@@ -304,9 +264,10 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
 
     M = a + 2*b*lam*L/pi and N = c + b*lam*pi**2/L**2 are exactly the
     values needed for the sine bound (taken from check_sine_conditions), so
-    the pair validates by construction.  lam = 0 degenerates to the
-    (well-formed) equal pair alpha = beta = 0 with M = a, N = c.  A sine
-    whose curvature lam*(pi/L)**2 overflows raises NonFiniteSolution.
+    the pair is ordered and its coefficients dominate by construction.
+    lam = 0 degenerates to the (well-formed) equal pair alpha = beta = 0
+    with M = a, N = c.  A sine whose curvature lam*(pi/L)**2 overflows
+    raises NonFiniteSolution.
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
@@ -315,27 +276,24 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
         raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
     x = uniform_grid(L, grid_points)
     sine = SineShape(lam)
-    beta = Iterate(
-        y=sine.evaluate(x, L),
-        ypp=sine.second(x, L),
-        integral=sine.integral(L),
-    )
     zero = np.zeros_like(x)
-    alpha = Iterate(y=zero, ypp=zero.copy(), integral=0.0)
+    p = problem.load.evaluate(x, L)
+    p.flags.writeable = False
     sine_check = check_sine_conditions(problem.a, problem.b, problem.c, L, lam)
     return BoundPair(
+        problem=problem,
         grid=x,
-        alpha=alpha,
-        beta=beta,
+        alpha=Iterate(y=zero, ypp=zero.copy(), integral=0.0),
+        beta=Iterate(y=sine.evaluate(x, L), ypp=sine.second(x, L), integral=sine.integral(L)),
         M=sine_check.M,
         N=sine_check.N,
         lam=float(lam),
-        lower_shape=ZeroShape(),
-        upper_shape=sine,
+        p=p,
+        operator=LinearOperator(sine_check.M, sine_check.N, float(L), grid_points),
     )
 
 
-def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Iterate:
+def iterate_once(prev: Iterate, pair: BoundPair) -> Iterate:
     """One sweep of the iteration map applied to a single side of the bracket.
 
     Builds the frozen-coefficient right-hand side
@@ -344,44 +302,33 @@ def iterate_once(prev: Iterate, pair: BoundPair, problem: MelanProblem) -> Itera
 
     as a single sampled load on the pair's grid, then solves the linear
     model with (M, N) through the pair's prepared operator.  p is the
-    pair's load_samples, taken once per run, so both bracket sides get the
-    same right-side arithmetic, which the ordering checks rely on.
+    pair's load samples, so both bracket sides get the same right-side
+    arithmetic, which the ordering checks rely on.
     """
-    x = pair.grid
+    problem = pair.problem
     I = prev.integral
-    F = (
-        pair.load_samples(problem)
-        + (problem.a - pair.M + problem.b * I) * prev.ypp
-        + (pair.N - problem.c) * I
-    )
-    linear = LinearProblem(
-        M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),))
-    )
-    sol: GridSolution = solve_linear(
-        linear, grid_points=len(x), operator=pair.operator
-    )
+    F = pair.p + (problem.a - pair.M + problem.b * I) * prev.ypp + (pair.N - problem.c) * I
+    linear = LinearProblem(M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),)))
+    sol: GridSolution = solve_linear(linear, grid_points=len(pair.grid), operator=pair.operator)
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
 
 def run_monotone(
-    problem: MelanProblem,
     pair: BoundPair,
     max_iter: int = 100,
     tol: Optional[float] = None,
     strict: bool = True,
 ) -> MonotoneVerdict:
-    """Run the two-sided iteration from an ordered bracket.
+    """Run the two-sided iteration from the pair's zero/sine bracket.
 
     In strict mode the initial bounds are verified against the model and a
     failing positivity condition refuses to run (NotApplicable);
     monotonicity breaks raise MonotonicityViolation, and failure to reach
     `tol` within `max_iter` sweeps raises NotConverged (with traces
     attached).  With strict=False those conditions downgrade to warnings,
-    the run continues, and the result is marked uncertified.  A pair built
-    for another span raises ValueError.
+    the run continues, and the result is marked uncertified.
     """
-    if pair.operator.L != problem.L:
-        raise ValueError(f"pair built for span {pair.operator.L!r}, problem span {problem.L!r}")
+    problem = pair.problem
     warnings: List[str] = []
 
     def refuse(error, message: str) -> None:
@@ -394,23 +341,15 @@ def run_monotone(
         refuse(NotApplicable, f"positivity condition fails: N = {positivity.lhs:.6g} > "
                f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
 
-    pair.validate(problem)
-    p = pair.load_samples(problem)
-    for rep in (_verify_bound("lower-solution", 1.0, pair.lower_shape, problem, pair.grid, p),
-                _verify_bound("upper-solution", -1.0, pair.upper_shape, problem, pair.grid, p)):
+    for rep in (_verify_bound("lower-solution", 1.0, ZeroShape(), problem, pair.grid, pair.p),
+                _verify_bound("upper-solution", -1.0, SineShape(pair.lam), problem,
+                              pair.grid, pair.p)):
         if not rep.satisfied:
             refuse(InvalidPair, f"initial {rep.name} check fails by {rep.lhs:.6g} "
                    f"(tolerance {rep.rhs:.6g})")
 
-    uniqueness = check_uniqueness(
-        problem.a, problem.b, problem.c, pair.M, pair.N, problem.L,
-        alpha_integral=pair.alpha.integral,
-    )
-    rho = contraction_rho(
-        problem.a, problem.b, problem.c, pair.M, pair.N, problem.L,
-        alpha_integral=pair.alpha.integral,
-        alpha_ypp_max=max(float(np.max(pair.alpha.ypp)), 0.0),
-    )
+    uniqueness = check_uniqueness(problem.a, problem.b, problem.c, pair.M, pair.N, problem.L)
+    rho = contraction_rho(problem.a, problem.b, problem.c, pair.M, pair.N, problem.L)
     if rho >= 1.0:
         warnings.append(
             f"contraction factor rho = {rho:.6g} >= 1: no a-priori convergence rate"
@@ -431,8 +370,8 @@ def run_monotone(
     # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
     while not gaps[-1] < tol and len(gaps) <= max_iter:
         n = len(gaps)
-        new_alpha = iterate_once(alphas[-1], pair, problem)
-        new_beta = iterate_once(betas[-1], pair, problem)
+        new_alpha = iterate_once(alphas[-1], pair)
+        new_beta = iterate_once(betas[-1], pair)
 
         checks = [
             ("lower iterates must not descend", (alphas[-1].y - new_alpha.y).max(), tol_y),
@@ -523,4 +462,4 @@ def iterate_melan(
     if lam is None:
         lam = problem.L / 100.0
     pair = make_sine_pair(problem, lam, grid_points)
-    return run_monotone(problem, pair, max_iter=max_iter, tol=tol, strict=strict)
+    return run_monotone(pair, max_iter=max_iter, tol=tol, strict=strict)

@@ -400,15 +400,6 @@ def test_forced_excessive_load_runs_uncertified():
     assert not result.monotone.certified
 
 
-def test_amplitude_override_warns():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = solve_bridge(span_100(), LoadSpec((Constant(50.0),)),
-                              grid_points=201, lam=0.9)
-    assert any("amplitude" in str(w.message) for w in caught)
-    assert result.monotone.status == "converged"
-
-
 def test_missing_cable_length_detected():
     # q = 0 gives a flat cable: no length can be derived, and the sag
     # ratio n = 0 also draws the out-of-range warning

@@ -65,6 +65,15 @@ def test_kernel_params_rejects_bad_input():
         KernelParams(M=1.0, L=0.0)
 
 
+def test_kernel_params_derived_quantities_are_not_arguments():
+    # mu and muL always come from M and L; passing one is an error, not a
+    # value silently replaced
+    with pytest.raises(TypeError):
+        KernelParams(1.0, 2.0, mu=5.0)
+    with pytest.raises(TypeError):
+        KernelParams(1.0, 2.0, 1.0)
+
+
 def test_sinh_ratio_moderate_arguments():
     got = sinh_ratio(1.0, 1.0, 2.0)
     ref = float(mp.sinh(1) ** 2 / mp.sinh(2))

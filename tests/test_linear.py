@@ -198,6 +198,15 @@ def test_gp_convolution_of_unit_load_is_psi():
     assert got == pytest.approx(float(psi(0.77, KernelParams(1.3, 2.0))), rel=1e-13)
 
 
+def test_gp_convolution_clips_roundoff_and_refuses_outside_the_span():
+    pr = LinearProblem(M=1.3, N=0.0, L=2.0, load=LoadSpec((Constant(1.0),)))
+    ends = gp_convolution(np.array([-1e-12, 2.0 + 1e-12]), pr)
+    assert np.array_equal(ends, gp_convolution(np.array([0.0, 2.0]), pr))
+    for outside in (-0.1, 2.1):
+        with pytest.raises(ValueError):
+            gp_convolution(outside, pr)
+
+
 def test_gp_convolution_matches_quadrature():
     pr = LinearProblem(M=1.0, N=0.0, L=2.0, load=LoadSpec((Affine(0.4, -0.9),)))
     got = gp_convolution(0.7, pr)

@@ -6,6 +6,8 @@ constant load p = 0.1 and a sine bracket of amplitude pi/4.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from melan import (
     BridgeParams,
@@ -99,6 +101,34 @@ def test_sine_pair_takes_its_coefficients_from_the_sine_conditions():
         assert (pair.M, pair.N) == (sc.M, sc.N)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    a=st.floats(1e-7, 1e-1),
+    b=st.floats(1e-7, 1e-1),
+    c=st.floats(1e-7, 1e-1),
+    L=st.floats(1.0, 500.0),
+    lam_frac=st.floats(0.0, 0.1),
+    grid_points=st.integers(3, 1000).map(lambda k: 2 * k + 1),
+)
+def test_sine_pair_is_a_bracket_by_construction(a, b, c, L, lam_frac, grid_points):
+    # alpha = 0 is nonnegative and flat, lies below beta with the reversed
+    # curvature ordering, and (M, N) dominate a + b*integral(beta) and
+    # c + b*max(-beta''), up to the run's roundoff slack
+    problem = MelanProblem(a=a, b=b, c=c, L=L, load=LoadSpec((Constant(0.0),)))
+    pair = make_sine_pair(problem, lam_frac * L, grid_points)
+    alpha, beta = pair.alpha, pair.beta
+    slack_y = 1e-9 * max(1.0, float(np.max(np.abs(beta.y))))
+    slack_pp = 1e-9 * max(1.0, float(np.max(np.abs(beta.ypp))))
+    assert np.all(alpha.y >= -slack_y)
+    assert np.all(alpha.ypp <= slack_pp)
+    assert np.all(alpha.y <= beta.y + slack_y)
+    assert np.all(alpha.ypp >= beta.ypp - slack_pp)
+    need_m = a + b * beta.integral
+    assert pair.M >= need_m - 1e-12 * max(1.0, need_m)
+    need_n = c + b * max(float(np.max(-beta.ypp)), 0.0)
+    assert pair.N >= need_n - 1e-12 * max(1.0, need_n)
+
+
 def test_downgraded_initial_check_leaves_the_run_uncertified():
     # the L/100 bracket fails the upper-solution check (see the strict test
     # above); without strict mode that failure is the first warning
@@ -173,7 +203,7 @@ def test_verdict_gaps_are_the_bracket_widths(standard_run):
 
 def test_verdict_gaps_are_kept_through_a_monotonicity_violation():
     p_big = long_span_problem()
-    v = run_monotone(p_big, make_sine_pair(p_big, 4.6, 501), max_iter=8, strict=False)
+    v = run_monotone(make_sine_pair(p_big, 4.6, 501), max_iter=8, strict=False)
     assert v.status == "monotonicity-violation"
     _assert_gaps_are_bracket_widths(v)
 
@@ -223,7 +253,7 @@ def test_reference_solver_limit_is_a_fixed_point(standard_pair):
         ypp=np.interp(standard_pair.grid, nl.grid, nl.ypp),
         integral=nl.integral_y,
     )
-    nxt = iterate_once(prev, standard_pair, standard_problem())
+    nxt = iterate_once(prev, standard_pair)
     assert np.max(np.abs(nxt.y - prev.y)) < 1e-5
 
 
@@ -245,7 +275,7 @@ def test_iteration_converges_from_arbitrary_admissible_starts(standard_pair, sta
         )
         cur = Iterate(y=start.y, ypp=start.ypp, integral=start.integral_y)
         for _ in range(60):
-            nxt = iterate_once(cur, standard_pair, problem)
+            nxt = iterate_once(cur, standard_pair)
             drift = np.max(np.abs(nxt.y - cur.y))
             cur = nxt
             if drift < 1e-10:
@@ -279,7 +309,7 @@ def test_error_bounds_refuse_expansive_factor():
     # a geometric a-priori bound
     p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
-    v = run_monotone(p_big, pair, max_iter=3, strict=False)
+    v = run_monotone(pair, max_iter=3, strict=False)
     with pytest.raises(BoundUnavailable):
         error_bounds(v, 2)
 
@@ -290,13 +320,13 @@ def test_error_bounds_refuse_expansive_factor():
 
 def test_non_convergence_raises_with_traces(standard_pair):
     with pytest.raises(NotConverged) as exc:
-        run_monotone(standard_problem(), standard_pair, max_iter=2)
+        run_monotone(standard_pair, max_iter=2)
     assert exc.value.lower is not None
     assert exc.value.upper is not None
 
 
 def test_non_convergence_tolerated_when_not_strict(standard_pair):
-    v = run_monotone(standard_problem(), standard_pair, max_iter=2, strict=False)
+    v = run_monotone(standard_pair, max_iter=2, strict=False)
     assert v.status == "max-iters"
     assert not v.certified
 
@@ -305,13 +335,13 @@ def test_uncertifiable_configuration_refused_when_strict():
     p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
     with pytest.raises(NotApplicable):
-        run_monotone(p_big, pair, max_iter=8)
+        run_monotone(pair, max_iter=8)
 
 
 def test_uncertifiable_run_reports_violation_when_forced():
     p_big = long_span_problem()
     pair = make_sine_pair(p_big, 4.6, 501)
-    v = run_monotone(p_big, pair, max_iter=8, strict=False)
+    v = run_monotone(pair, max_iter=8, strict=False)
     assert v.status == "monotonicity-violation"
     assert not v.certified
     assert v.rho > 1.0
@@ -347,7 +377,7 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
 
         monkeypatch.setattr(melan.linear, name, counted)
     problem = standard_problem()
-    verdict = run_monotone(problem, make_sine_pair(problem, LAM, 501))
+    verdict = run_monotone(make_sine_pair(problem, LAM, 501))
     assert verdict.iterations >= 3
     # psi on the grid; Simpson weights of the samples and of the grid.
     assert calls == {"psi": 1, "simpson_weights": 2}
@@ -358,21 +388,6 @@ def test_pair_operator_is_built_with_the_pair():
     op = pair.operator
     assert (op.M, op.N, op.L, op.grid_points) == (pair.M, pair.N, 2.0, 101)
     assert np.array_equal(op.grid, pair.grid)
-
-
-def test_iterate_once_refuses_a_problem_of_another_span():
-    pair = make_sine_pair(standard_problem(), LAM, 101)
-    longer = MelanProblem(a=0.1, b=0.1, c=0.1, L=3.0, load=LoadSpec((Constant(0.1),)))
-    with pytest.raises(ValueError, match="operator built for"):
-        iterate_once(pair.alpha, pair, longer)
-
-
-def test_run_monotone_refuses_a_pair_of_another_span():
-    # no sweep runs for a zero load, so the refusal must come up front
-    zero = LoadSpec((Constant(0.0),))
-    pair = make_sine_pair(MelanProblem(0.1, 0.1, 0.1, 2.0, zero), 0.0, 101)
-    with pytest.raises(ValueError, match="span 2.0, problem span 3.0"):
-        run_monotone(MelanProblem(0.1, 0.1, 0.1, 3.0, zero), pair)
 
 
 def test_overflowing_sine_curvature_raises():
@@ -399,13 +414,6 @@ def span_100_problem():
     return MelanProblem(a=rep.a, b=rep.b, c=rep.c, L=bp.L, load=load), rep.lam
 
 
-def verdict_bits(v):
-    iterates = v.lower.iterates + v.upper.iterates
-    arrays = [a.tobytes() for it in iterates for a in (it.y, it.ypp)]
-    return (arrays, [it.integral for it in iterates], v.gaps, v.gap_bounds,
-            v.status, v.M, v.N, v.rho, v.warnings)
-
-
 def test_one_run_evaluates_the_load_once(monkeypatch):
     calls = []
     original = LoadSpec.evaluate
@@ -416,7 +424,7 @@ def test_one_run_evaluates_the_load_once(monkeypatch):
 
     monkeypatch.setattr(LoadSpec, "evaluate", counted)
     problem = standard_problem()
-    verdict = run_monotone(problem, make_sine_pair(problem, LAM, 501))
+    verdict = run_monotone(make_sine_pair(problem, LAM, 501))
     assert verdict.iterations >= 3
     assert calls == [problem.load]
 
@@ -425,7 +433,7 @@ def test_one_run_evaluates_the_load_once(monkeypatch):
 def test_every_sweep_rebuilds_from_a_fresh_load_sample(case):
     problem, lam = span_100_problem() if case == "example_6_2" else (sampled_load_problem(), LAM)
     pair = make_sine_pair(problem, lam, 1001)
-    v = run_monotone(problem, pair)
+    v = run_monotone(pair)
     assert v.certified and v.iterations >= 3
     a, b, c, L = problem.a, problem.b, problem.c, problem.L
     for trace in (v.lower, v.upper):
@@ -440,19 +448,8 @@ def test_every_sweep_rebuilds_from_a_fresh_load_sample(case):
             assert sol.integral_y == got.integral
 
 
-def test_reused_pair_resamples_for_each_problem():
-    first = standard_problem()
-    second = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.05),)))
-    shared = make_sine_pair(first, LAM, 501)
-    reused = [run_monotone(pr, shared) for pr in (first, second)]
-    fresh = [run_monotone(pr, make_sine_pair(pr, LAM, 501)) for pr in (first, second)]
-    assert verdict_bits(reused[1]) != verdict_bits(reused[0])
-    for got, want in zip(reused, fresh):
-        assert verdict_bits(got) == verdict_bits(want)
-
-
 def test_load_samples_are_read_only(standard_pair):
-    samples = standard_pair.load_samples(standard_problem())
+    samples = standard_pair.p
     assert not samples.flags.writeable
     with pytest.raises(ValueError):
         samples[0] = 1.0
