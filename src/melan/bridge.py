@@ -280,7 +280,7 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BridgeSolution:
     """Result of a full bridge run.
 

@@ -13,6 +13,7 @@ subtractive cancellation for small sqrt(M)*L switch to explicit series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,9 +45,9 @@ class KernelParams:
     muL: float = field(init=False)  # derived: sqrt(M) * L
 
     def __post_init__(self):
-        if not (self.M > 0.0 and np.isfinite(self.M)):
+        if not (self.M > 0.0 and math.isfinite(self.M)):
             raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
+        if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         object.__setattr__(self, "mu", float(np.sqrt(self.M)))
         object.__setattr__(self, "muL", float(self.mu * self.L))

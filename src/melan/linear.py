@@ -14,7 +14,8 @@ with A and B the convolutions of the load against the two second-order
 kernels, Lambda the integral of (B - A)/M, and psi/zeta the kernel row and
 double integrals.  Analytic load shapes have A, B and their integrals in
 closed form; sampled loads use Simpson sums against both kernels, evaluated
-in O(n) time and memory from the kernels' semiseparable structure.
+in O(n) time and memory from the kernels' semiseparable structure as two
+complex prefix sums, each packing a gm and a g0 running sum.
 
 Second derivatives are assembled from the same convolutions (never by
 differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
@@ -72,11 +73,11 @@ class LinearProblem:
     load: LoadSpec
 
     def __post_init__(self):
-        if not (self.M > 0.0 and np.isfinite(self.M)):
+        if not (self.M > 0.0 and math.isfinite(self.M)):
             raise ValueError(f"M must be positive and finite, got {self.M}")
-        if not np.isfinite(self.N):
+        if not math.isfinite(self.N):
             raise ValueError(f"N must be finite, got {self.N}")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
+        if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if not isinstance(self.load, LoadSpec):
             raise TypeError("load must be a LoadSpec")
@@ -93,7 +94,7 @@ class SolutionMeta:
     regime: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSolution:
     """Solution samples on a uniform grid.
 
@@ -123,12 +124,12 @@ def _classify_regime(M: float, N: float, L: float) -> str:
     return "unverified"
 
 
-# Largest exponent in one _damped_cumsum block, far below overflow at 709.
+# Largest exponent in one _running_sums block, far below overflow at 709.
 _BLOCK_EXPONENT = 300.0
 
 
 def _damped_plan(t: np.ndarray, mu: float):
-    """Blocks of _damped_cumsum over nondecreasing nodes t: (start, stop, scale, decay).
+    """Blocks of _running_sums over nondecreasing nodes t: (start, stop, scale, decay).
 
     Each block holds the nodes within _BLOCK_EXPONENT/mu of its first node r;
     scale = exp(mu*(t - r)) on the block and decay = exp(-mu*(r - t_prev))
@@ -147,16 +148,27 @@ def _damped_plan(t: np.ndarray, mu: float):
     return tuple(plan)
 
 
-def _damped_cumsum(a: np.ndarray, plan) -> np.ndarray:
-    """F_m = sum over j <= m of exp(-mu*(t_m - t_j))*a_j, with plan = _damped_plan(t, mu).
+def _running_sums(v: np.ndarray, P: np.ndarray, t: np.ndarray, plan) -> np.ndarray:
+    """Running sums over the first k samples, k = 0..n: damped + 1j*plain.
 
-    One plain cumsum of exp(mu*(t_j - r))*a_j per block, plus one damped
-    carry from the previous block.
+    The damped sum adds exp(-mu*(t_{k-1} - t_j))*P_j*v_j (plan =
+    _damped_plan(t, mu)), the plain one t_j*v_j.  Complex addition is
+    componentwise, so one cumsum per block gives both sums bitwise as two
+    real cumsums would.
     """
-    out = np.empty_like(a)
+    terms = np.empty(v.size, complex)
+    np.multiply(P, v, out=terms.real)
+    np.multiply(t, v, out=terms.imag)
+    out = np.zeros(v.size + 1, complex)
+    real = out.real[1:]
     for start, stop, scale, decay in plan:
-        carry = out[start - 1] * decay if start else 0.0
-        out[start:stop] = (carry + (scale * a[start:stop]).cumsum()) / scale
+        block, block_re = out[1 + start:1 + stop], real[start:stop]
+        terms_re = terms.real[start:stop]
+        terms_re *= scale
+        np.add.accumulate(terms[start:stop], out=block)
+        if start:
+            block += complex(real[start - 1] * decay, out.imag[start])
+        block_re /= scale
     return out
 
 
@@ -168,32 +180,37 @@ class _SampledProfile:
     kernels are semiseparable, g0(x, s) = min*(L - max)/L and
     gm(x, s) = K*exp(-mu*|x - s|)*P(min)*Q(max) with P(t) = -expm1(-2 mu t),
     Q(t) = P(L - t), K = 1/(2 mu P(L)), so each sum splits at x into running
-    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory.
+    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory, one
+    complex cumsum (gm sum + 1j*g0 sum) per direction.
 
     Everything that depends only on (M, L, ns, x) is computed here once: the
     Simpson weights, P at the samples, the per-position decay factors and
-    the _damped_cumsum block plans.  `convolve` is the per-values pass.
+    the block plans.  With `on_grid`, x is the samples' own grid and shares
+    its nodes and weights, and the split at x is a slice, not a gather.
+    `convolve` is the per-values pass.
     """
 
-    def __init__(self, params: KernelParams, ns: int, x: np.ndarray):
+    def __init__(self, params: KernelParams, ns: int, x: np.ndarray, on_grid: bool = False):
         L, mu = params.L, params.mu
-        s = uniform_grid(L, ns)
+        s = x if on_grid else uniform_grid(L, ns)
 
         def P(t):
             return -np.expm1(-2.0 * mu * t)
 
-        # s[lo] <= x < s[lo + 1]; the suffix index clipped to ns - 1 adds zero.
-        lo = np.searchsorted(s, x, side="right") - 1
+        # s[lo] <= x < s[lo + 1], so x = s[lo] on the grid; at x = L the suffix is empty.
+        lo = np.arange(ns) if on_grid else np.searchsorted(s, x, side="right") - 1
         hi = np.minimum(lo + 1, ns - 1)
         u = L - s[::-1]
 
         self.ns = ns
         self.L = L
         self.x = x
-        self.lo, self.hi = lo, hi
+        # Running sums over the first lo + 1 and the last ns - 1 - lo samples.
+        self.head, self.tail = ((slice(1, None), slice(ns - 1, None, -1)) if on_grid
+                                else (lo + 1, ns - 1 - lo))
         self.s, self.u = s, u
-        self.ws = simpson_weights(ns, L / (ns - 1))
         self.wx = simpson_weights(x.size, L / (x.size - 1))
+        self.ws = self.wx if on_grid else simpson_weights(ns, L / (ns - 1))
         self.Ps, self.Pu = P(s), P(u)
         self.fwd_plan = _damped_plan(s, mu)
         self.bwd_plan = _damped_plan(u, mu)
@@ -210,16 +227,12 @@ class _SampledProfile:
         """
         if not np.isfinite(values).all():
             raise NonFiniteSolution("sampled load is not finite")
-        lo, hi = self.lo, self.hi
         v = self.ws * values
-        vr = v[::-1]
-        fwd = _damped_cumsum(self.Ps * v, self.fwd_plan)
-        bwd = _damped_cumsum(self.Pu * vr, self.bwd_plan)[::-1]
-        A = (self.left * fwd[lo] + self.right * bwd[hi]) / self.scale
-
-        head = (self.s * v).cumsum()
-        tail = (self.u * vr).cumsum()[::-1]
-        B = (self.Lmx * head[lo] + self.x * tail[hi]) / self.L
+        fwd = _running_sums(v, self.Ps, self.s, self.fwd_plan)
+        bwd = _running_sums(v[::-1], self.Pu, self.u, self.bwd_plan)
+        head, tail = fwd[self.head], bwd[self.tail]
+        A = (self.left * head.real + self.right * tail.real) / self.scale
+        B = (self.Lmx * head.imag + self.x * tail.imag) / self.L
         return A, B, float(self.wx @ A), float(self.wx @ B)
 
 
@@ -372,7 +385,7 @@ class LinearOperator:
         if ns != self.grid_points:
             return _SampledProfile(self.params, ns, self.grid)
         if self._profile is None:
-            self._profile = _SampledProfile(self.params, ns, self.grid)
+            self._profile = _SampledProfile(self.params, ns, self.grid, on_grid=True)
         return self._profile
 
     def assemble(self, load: LoadSpec):
@@ -394,7 +407,7 @@ class LinearOperator:
         NonFiniteSolution when y, y'' or integral_y is NaN or infinite.
         """
         y = (B_tot - A_tot) / self.M - coupled * self.psi
-        ypp = -A_tot + coupled * self.gm_row
+        ypp = coupled * self.gm_row - A_tot
         # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
         y[0] = y[-1] = 0.0
         ypp[0] = ypp[-1] = 0.0

@@ -17,6 +17,7 @@ shrinks geometrically, bracketing the true solution at every step.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -79,15 +80,15 @@ class MelanProblem:
     def __post_init__(self):
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
+            if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not (self.L > 0.0 and np.isfinite(self.L)):
+        if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"L must be positive and finite, got {self.L}")
         if not isinstance(self.load, LoadSpec):
             raise TypeError("load must be a LoadSpec")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Iterate:
     """One side of the bracket at one sweep: values, second derivative, integral."""
 
@@ -96,7 +97,7 @@ class Iterate:
     integral: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundPair:
     """One problem's zero/sine bracket, as make_sine_pair builds it.
 
@@ -117,7 +118,7 @@ class BoundPair:
     operator: LinearOperator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
     """History of one side of the bracket; iterates[0] is the initial bound."""
 
@@ -125,7 +126,7 @@ class IterationTrace:
     iterates: Tuple[Iterate, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonotoneVerdict:
     """Outcome of the two-sided iteration.
 
@@ -220,21 +221,20 @@ class SineShape:
         return 2.0 * self.amplitude * length / np.pi
 
 
+def _model(problem: MelanProblem, fourth, second, I: float) -> np.ndarray:
+    """y'''' - (a + b*I)*y'' + c*I from a shape's y'''', y'' and integral I."""
+    return fourth - (problem.a + problem.b * I) * second + problem.c * I
+
+
 def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
-    """Evaluate y'''' - (a + b*I)*y'' + c*I for a candidate shape on a grid."""
-    I = shape.integral(problem.L)
-    return (
-        shape.fourth(x, problem.L)
-        - (problem.a + problem.b * I) * shape.second(x, problem.L)
-        + problem.c * I
-    )
+    """Evaluate the model for a candidate shape on a grid."""
+    L = problem.L
+    return _model(problem, shape.fourth(x, L), shape.second(x, L), shape.integral(L))
 
 
-def _verify_bound(name: str, sign: float, shape, problem: MelanProblem,
-                  x: np.ndarray, p: np.ndarray) -> ConditionReport:
-    """Worst sign*(model(shape) - p) over the nodes x, p the load there, against _slack(p)."""
-    defect = sign * (_apply_model(shape, problem, x) - p)
-    return _report(name, float(np.max(defect)), _slack(p))
+def _verify_bound(name: str, sign: float, model: np.ndarray, p: np.ndarray) -> ConditionReport:
+    """Worst sign*(model - p) over the nodes, p the load there, against _slack(p)."""
+    return _report(name, float(np.max(sign * (model - p))), _slack(p))
 
 
 def verify_lower(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
@@ -245,14 +245,14 @@ def verify_lower(shape, problem: MelanProblem, grid_points: int = 1001) -> Condi
     """
     x = uniform_grid(problem.L, grid_points)
     p = problem.load.evaluate(x, problem.L)
-    return _verify_bound("lower-solution", 1.0, shape, problem, x, p)
+    return _verify_bound("lower-solution", 1.0, _apply_model(shape, problem, x), p)
 
 
 def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> ConditionReport:
     """Check that a candidate is an upper bounding function (model(shape) >= p)."""
     x = uniform_grid(problem.L, grid_points)
     p = problem.load.evaluate(x, problem.L)
-    return _verify_bound("upper-solution", -1.0, shape, problem, x, p)
+    return _verify_bound("upper-solution", -1.0, _apply_model(shape, problem, x), p)
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +276,7 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
         raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
     x = uniform_grid(L, grid_points)
     sine = SineShape(lam)
+    y = sine.evaluate(x, L)
     zero = np.zeros_like(x)
     p = problem.load.evaluate(x, L)
     p.flags.writeable = False
@@ -284,7 +285,8 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
         problem=problem,
         grid=x,
         alpha=Iterate(y=zero, ypp=zero.copy(), integral=0.0),
-        beta=Iterate(y=sine.evaluate(x, L), ypp=sine.second(x, L), integral=sine.integral(L)),
+        # SineShape.second, from the same samples.
+        beta=Iterate(y=y, ypp=-((np.pi / L) ** 2) * y, integral=sine.integral(L)),
         M=sine_check.M,
         N=sine_check.N,
         lam=float(lam),
@@ -341,9 +343,11 @@ def run_monotone(
         refuse(NotApplicable, f"positivity condition fails: N = {positivity.lhs:.6g} > "
                f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
 
-    for rep in (_verify_bound("lower-solution", 1.0, ZeroShape(), problem, pair.grid, pair.p),
-                _verify_bound("upper-solution", -1.0, SineShape(pair.lam), problem,
-                              pair.grid, pair.p)):
+    # ZeroShape's model is 0; the sine's is SineShape's, from the pair's samples.
+    beta = pair.beta
+    upper = _model(problem, (np.pi / problem.L) ** 4 * beta.y, beta.ypp, beta.integral)
+    for rep in (_verify_bound("lower-solution", 1.0, 0.0, pair.p),
+                _verify_bound("upper-solution", -1.0, upper, pair.p)):
         if not rep.satisfied:
             refuse(InvalidPair, f"initial {rep.name} check fails by {rep.lhs:.6g} "
                    f"(tolerance {rep.rhs:.6g})")
@@ -372,13 +376,15 @@ def run_monotone(
         n = len(gaps)
         new_alpha = iterate_once(alphas[-1], pair)
         new_beta = iterate_once(betas[-1], pair)
+        w = new_beta.y - new_alpha.y
+        w_min = w.min()
 
         checks = [
             ("lower iterates must not descend", (alphas[-1].y - new_alpha.y).max(), tol_y),
             ("upper iterates must not ascend", (new_beta.y - betas[-1].y).max(), tol_y),
             ("lower curvature must not ascend", (new_alpha.ypp - alphas[-1].ypp).max(), tol_pp),
             ("upper curvature must not descend", (betas[-1].ypp - new_beta.ypp).max(), tol_pp),
-            ("bracket ordering must hold", (new_alpha.y - new_beta.y).max(), tol_y),
+            ("bracket ordering must hold", -w_min, tol_y),
             ("bracket curvature ordering must hold", (new_beta.ypp - new_alpha.ypp).max(), tol_pp),
         ]
         for label, excess, allowance in checks:
@@ -389,7 +395,7 @@ def run_monotone(
         alphas.append(new_alpha)
         betas.append(new_beta)
         gap_bounds.append((problem.L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp)
-        gaps.append(float(np.abs(new_beta.y - new_alpha.y).max()))
+        gaps.append(float(max(w.max(), -w_min)))
 
     iterations = len(gaps) - 1
     converged = gaps[-1] < tol

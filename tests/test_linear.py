@@ -307,6 +307,70 @@ def test_sampled_convolution_matches_dense_simpson_sum(muL, ns, positions):
     assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
 
 
+def four_sum_convolutions(values, x, M, L):
+    """Reference: the Simpson sums as four real running sums with index gathers.
+
+    The damped gm sums and the plain g0 sums each run as their own real
+    cumsum per direction, and the split at x is a gather at lo and hi; past
+    mu*L = 300 the damped sums run in blocks of at most 300/mu.
+    """
+    mu = np.sqrt(M)
+    ns = len(values)
+    s = uniform_grid(L, ns)
+
+    def P(t):
+        return -np.expm1(-2.0 * mu * t)
+
+    def damped_cumsum(a, t):
+        out = np.empty_like(a)
+        start = 0
+        while start < t.size:
+            r = t[start]
+            stop = int(np.searchsorted(t, r + 300.0 / mu, side="right"))
+            scale = np.exp(mu * (t[start:stop] - r))
+            carry = out[start - 1] * np.exp(-mu * (r - t[start - 1])) if start else 0.0
+            out[start:stop] = (carry + (scale * a[start:stop]).cumsum()) / scale
+            start = stop
+        return out
+
+    lo = np.searchsorted(s, x, side="right") - 1
+    hi = np.minimum(lo + 1, ns - 1)
+    u = L - s[::-1]
+    v = simpson_weights(ns, L / (ns - 1)) * values
+    vr = v[::-1]
+    fwd = damped_cumsum(P(s) * v, s)
+    bwd = damped_cumsum(P(u) * vr, u)[::-1]
+    left = P(L - x) * np.exp(-mu * (x - s[lo]))
+    right = P(x) * np.exp(-mu * (s[hi] - x))
+    A = (left * fwd[lo] + right * bwd[hi]) / (2.0 * mu * P(L))
+    head = (s * v).cumsum()
+    tail = (u * vr).cumsum()[::-1]
+    B = ((L - x) * head[lo] + x * tail[hi]) / L
+    wx = simpson_weights(x.size, L / (x.size - 1))
+    return A, B, float(wx @ A), float(wx @ B)
+
+
+@pytest.mark.parametrize("muL", [1e-4, 0.66, 2.0, 300.0, 700.0, 2000.0])
+@pytest.mark.parametrize("ns", [501, 31])
+def test_packed_running_sums_keep_the_four_real_sums(muL, ns):
+    # Each direction packs its gm and g0 sums into one complex cumsum.  The
+    # parts are bitwise the real running sums on the operator's own grid in
+    # one damping block (mu*L <= 300); block carries and off-grid samples
+    # stay within roundoff.
+    L, n = 3.0, 501
+    M = (muL / L) ** 2
+    s = uniform_grid(L, ns)
+    values = 1.0 + np.sin(3.0 * s) + 0.3 * np.random.default_rng(ns).standard_normal(ns)
+    op = LinearOperator(M, 0.0, L, n)
+    got = op._profile_for(ns).convolve(values)
+    want = four_sum_convolutions(values, op.grid, M, L)
+    if ns == n and muL <= 300.0:
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    else:
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
 def _solution_bytes(sol):
     return sol.y.tobytes(), sol.ypp.tobytes(), np.float64(sol.integral_y).tobytes()
 

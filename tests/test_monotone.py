@@ -379,8 +379,9 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
     problem = standard_problem()
     verdict = run_monotone(make_sine_pair(problem, LAM, 501))
     assert verdict.iterations >= 3
-    # psi on the grid; Simpson weights of the samples and of the grid.
-    assert calls == {"psi": 1, "simpson_weights": 2}
+    # psi on the grid; one set of Simpson weights, since the samples sit on
+    # the grid and share its weights.
+    assert calls == {"psi": 1, "simpson_weights": 1}
 
 
 def test_pair_operator_is_built_with_the_pair():
@@ -388,6 +389,20 @@ def test_pair_operator_is_built_with_the_pair():
     op = pair.operator
     assert (op.M, op.N, op.L, op.grid_points) == (pair.M, pair.N, 2.0, 101)
     assert np.array_equal(op.grid, pair.grid)
+
+
+def test_array_records_compare_by_identity():
+    # Records holding arrays compare by identity, so == answers instead of
+    # raising on an array's ambiguous truth value.
+    problem = standard_problem()
+    pairs = [make_sine_pair(problem, LAM, 101) for _ in range(2)]
+    linear = LinearProblem(M=1.0, N=0.2, L=2.0, load=LoadSpec((Constant(1.0),)))
+    solutions = [solve_linear(linear, grid_points=101) for _ in range(2)]
+    run = run_monotone(pairs[0])
+    for first, second in (pairs, solutions, (pairs[0].beta, pairs[1].beta),
+                          (run, run_monotone(pairs[1])), (run.lower, run.upper)):
+        assert first != second
+        assert first == first and second == second
 
 
 def test_overflowing_sine_curvature_raises():
