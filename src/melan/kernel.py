@@ -144,17 +144,32 @@ def _const_profile(x, params: KernelParams):
     """Solution of -v'' + M v = M with zero ends: 1 - cosh(mu*(x-L/2))/cosh(mu*L/2).
 
     Evaluated as (1 - exp(-mu*x))*(1 - exp(-mu*(L-x)))/(1 + exp(-mu*L)), a
-    bounded product with no cancellation.  Equals theta(x)/sinh(mu*L).
+    bounded product with no cancellation; x must lie in [0, L].
     """
-    x = _clip_domain(x, params.L)
     mu = params.mu
     num = np.expm1(-mu * x) * np.expm1(-mu * (params.L - x))
     return num / (1.0 + np.exp(-params.muL))
 
 
+def _row_integrals(x, params: KernelParams):
+    """(psi(x), gm_row_integral(x)) from one _const_profile, for x already in [0, L]."""
+    const = _const_profile(x, params)
+    M, L, z = params.M, params.L, params.muL
+    if z >= 0.05:
+        return x * (L - x) / (2.0 * M) - const / M**2, const / M
+    d2 = (params.mu * (2.0 * x - L)) ** 2
+    z2 = z * z
+    poly = (
+        (5.0 * z2 - d2) / 384.0
+        + (14.0 * z2**2 - z2 * d2 - d2**2) / 46080.0
+        + (27.0 * z2**3 - z2**2 * d2 - z2 * d2**2 - d2**3) / 10321920.0
+    )
+    return 4.0 * x * (L - x) * poly / (M * np.cosh(0.5 * z)), const / M
+
+
 def gm_row_integral(x, params: KernelParams):
     """Integral of green_gm(x, s) over s in [0, L], in closed form."""
-    return _const_profile(x, params) / params.M
+    return _const_profile(_clip_domain(x, params.L), params) / params.M
 
 
 def psi(x, params: KernelParams):
@@ -164,18 +179,7 @@ def psi(x, params: KernelParams):
     mu*L = 0.05 by a series in mu*L and mu*(2x - L) that avoids the
     subtractive cancellation of the closed form.
     """
-    x = _clip_domain(x, params.L)
-    z = params.muL
-    if z >= 0.05:
-        return x * (params.L - x) / (2.0 * params.M) - _const_profile(x, params) / params.M**2
-    d2 = (params.mu * (2.0 * x - params.L)) ** 2
-    z2 = z * z
-    poly = (
-        (5.0 * z2 - d2) / 384.0
-        + (14.0 * z2**2 - z2 * d2 - d2**2) / 46080.0
-        + (27.0 * z2**3 - z2**2 * d2 - z2 * d2**2 - d2**3) / 10321920.0
-    )
-    return 4.0 * x * (params.L - x) * poly / (params.M * np.cosh(0.5 * z))
+    return _row_integrals(_clip_domain(x, params.L), params)[0]
 
 
 def _gap_to_tanh(z: float) -> float:

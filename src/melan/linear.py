@@ -14,8 +14,9 @@ with A and B the convolutions of the load against the two second-order
 kernels, Lambda the integral of (B - A)/M, and psi/zeta the kernel row and
 double integrals.  Analytic load shapes have A, B and their integrals in
 closed form; sampled loads use Simpson sums against both kernels, evaluated
-in O(n) time and memory from the kernels' semiseparable structure as two
-complex prefix sums, each packing a gm and a g0 running sum.
+in O(n) time and memory from the kernels' semiseparable structure: per
+direction one complex prefix sum (gm + 1j*g0) over coefficients that fold
+in every per-node factor once per LinearOperator.
 
 Second derivatives are assembled from the same convolutions (never by
 differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
@@ -36,8 +37,9 @@ from .kernel import (
     KernelParams,
     _clip_domain,
     _gap_to_tanh,
+    _row_integrals,
     gm_row_integral,
-    psi,
+    psi,  # noqa: F401  unused here, but perfbench/tracer.py wraps melan.linear.psi
     sinh_frac,
     zeta,
 )
@@ -128,47 +130,48 @@ def _classify_regime(M: float, N: float, L: float) -> str:
 _BLOCK_EXPONENT = 300.0
 
 
-def _damped_plan(t: np.ndarray, mu: float):
-    """Blocks of _running_sums over nondecreasing nodes t: (start, stop, scale, decay).
+def _damping_blocks(t: np.ndarray, mu: float):
+    """Damping blocks over nondecreasing nodes t: ((start, stop, carry), ...) and scale.
 
-    Each block holds the nodes within _BLOCK_EXPONENT/mu of its first node r;
-    scale = exp(mu*(t - r)) on the block and decay = exp(-mu*(r - t_prev))
-    carries the previous block's last sum across, so no factor overflows for
-    any mu*L.
+    Each block holds the nodes within _BLOCK_EXPONENT/mu of its first node
+    r_b, and scale = exp(mu*(t - r_b)) on it stays below exp(300).  carry =
+    exp(-mu*(r_b - t_prev))/scale(t_prev) moves the previous block's last
+    running sum onto this block's reference, so no factor overflows for any
+    mu*L.
     """
-    plan = []
-    start = 0
+    blocks, scale, start = [], np.empty_like(t), 0
     while start < t.size:
         r = t[start]
         stop = int(np.searchsorted(t, r + _BLOCK_EXPONENT / mu, side="right"))
-        scale = np.exp(mu * (t[start:stop] - r))
-        decay = np.exp(-mu * (r - t[start - 1])) if start else None
-        plan.append((start, stop, scale, decay))
+        scale[start:stop] = np.exp(mu * (t[start:stop] - r))
+        carry = math.exp(-mu * (r - t[start - 1])) / scale[start - 1] if start else 0.0
+        blocks.append((start, stop, carry))
         start = stop
-    return tuple(plan)
+    return tuple(blocks), scale
 
 
-def _running_sums(v: np.ndarray, P: np.ndarray, t: np.ndarray, plan) -> np.ndarray:
-    """Running sums over the first k samples, k = 0..n: damped + 1j*plain.
+def _running_sums(values: np.ndarray, coef: np.ndarray, blocks, reverse: bool) -> np.ndarray:
+    """Exclusive running sums of values*coef, as an (n + 1, 2) real view.
 
-    The damped sum adds exp(-mu*(t_{k-1} - t_j))*P_j*v_j (plan =
-    _damped_plan(t, mu)), the plain one t_j*v_j.  Complex addition is
-    componentwise, so one cumsum per block gives both sums bitwise as two
-    real cumsums would.
+    Forward, row k sums the samples j < k, with `reverse` j >= k; one complex
+    cumsum per damping block, the previous block's carry entering with its first term.
     """
-    terms = np.empty(v.size, complex)
-    np.multiply(P, v, out=terms.real)
-    np.multiply(t, v, out=terms.imag)
-    out = np.zeros(v.size + 1, complex)
-    real = out.real[1:]
-    for start, stop, scale, decay in plan:
-        block, block_re = out[1 + start:1 + stop], real[start:stop]
-        terms_re = terms.real[start:stop]
-        terms_re *= scale
-        np.add.accumulate(terms[start:stop], out=block)
+    terms = values * coef
+    sums = np.empty(values.size + 1, complex)
+    t, out = (terms[::-1], sums[::-1]) if reverse else (terms, sums)
+    out[0] = 0.0
+    for start, stop, carry in blocks:
         if start:
-            block += complex(real[start - 1] * decay, out.imag[start])
-        block_re /= scale
+            prev = out[start]
+            t[start] += complex(prev.real * carry, prev.imag)
+        np.add.accumulate(t[start:stop], out=out[1 + start:1 + stop])
+    return sums.view(float).reshape(-1, 2)
+
+
+def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """(n, 2) array with columns `first` and `second`; a row views as one complex."""
+    out = np.empty((first.size, 2))
+    out[:, 0], out[:, 1] = first, second
     return out
 
 
@@ -180,14 +183,17 @@ class _SampledProfile:
     kernels are semiseparable, g0(x, s) = min*(L - max)/L and
     gm(x, s) = K*exp(-mu*|x - s|)*P(min)*Q(max) with P(t) = -expm1(-2 mu t),
     Q(t) = P(L - t), K = 1/(2 mu P(L)), so each sum splits at x into running
-    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory, one
-    complex cumsum (gm sum + 1j*g0 sum) per direction.
+    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory.
 
-    Everything that depends only on (M, L, ns, x) is computed here once: the
-    Simpson weights, P at the samples, the per-position decay factors and
-    the block plans.  With `on_grid`, x is the samples' own grid and shares
-    its nodes and weights, and the split at x is a slice, not a gather.
-    `convolve` is the per-values pass.
+    Every per-node factor depends only on (M, L, ns, x) and is folded here,
+    once.  Per direction: one complex coefficient P*w*scale + 1j*t*w (w the
+    Simpson weight, t the distance from the span's start or end, scale =
+    exp(mu*(t - r_b)) in the sample's damping block) and one (len(x), 2)
+    output factor: A's is P(L - x)*exp(-mu*(x - s[lo])), resp. P(x)*exp(-mu*(s[hi] - x)),
+    over 2*mu*P(L) and the last summed sample's scale; B's is (L - x)/L, resp. x/L.
+    `convolve` is one product and one cumsum per block per direction, then
+    one multiply-add.  With `on_grid`, x is the samples' own grid: it shares
+    their nodes and weights, and the split at x is a slice.
     """
 
     def __init__(self, params: KernelParams, ns: int, x: np.ndarray, on_grid: bool = False):
@@ -200,24 +206,25 @@ class _SampledProfile:
         # s[lo] <= x < s[lo + 1], so x = s[lo] on the grid; at x = L the suffix is empty.
         lo = np.arange(ns) if on_grid else np.searchsorted(s, x, side="right") - 1
         hi = np.minimum(lo + 1, ns - 1)
-        u = L - s[::-1]
-
+        u = L - s
+        ws = simpson_weights(ns, L / (ns - 1))
+        Ps, Pu = P(s), P(u)
+        self.fwd_blocks, fwd_scale = _damping_blocks(s, mu)
+        self.bwd_blocks, bwd_scale = _damping_blocks(u[::-1], mu)
+        bwd_scale = bwd_scale[::-1]
+        self.fwd_coef = _pairs(Ps * ws * fwd_scale, s * ws).view(complex).ravel()
+        self.bwd_coef = _pairs(Pu * ws * bwd_scale, u * ws).view(complex).ravel()
+        K = 2.0 * mu * P(L)
+        P_left, P_right = (Pu, Ps) if on_grid else (P(L - x), P(x))
+        near = 1.0 if on_grid else np.exp(-mu * (x - s[lo]))  # decay to s[lo]: 1 on the grid
+        left = P_left * near / fwd_scale[lo] / K
+        right = P_right * np.exp(-mu * (s[hi] - x)) / bwd_scale[hi] / K
+        self.fwd_out = _pairs(left, (L - x) / L)
+        self.bwd_out = _pairs(right, x / L)
+        # Both running sums are read at row lo + 1 (samples j <= lo, resp. j > lo).
+        self.at = slice(1, None) if on_grid else lo + 1
         self.ns = ns
-        self.L = L
-        self.x = x
-        # Running sums over the first lo + 1 and the last ns - 1 - lo samples.
-        self.head, self.tail = ((slice(1, None), slice(ns - 1, None, -1)) if on_grid
-                                else (lo + 1, ns - 1 - lo))
-        self.s, self.u = s, u
-        self.wx = simpson_weights(x.size, L / (x.size - 1))
-        self.ws = self.wx if on_grid else simpson_weights(ns, L / (ns - 1))
-        self.Ps, self.Pu = P(s), P(u)
-        self.fwd_plan = _damped_plan(s, mu)
-        self.bwd_plan = _damped_plan(u, mu)
-        self.left = P(L - x) * np.exp(-mu * (x - s[lo]))
-        self.right = P(x) * np.exp(-mu * (s[hi] - x))
-        self.scale = 2.0 * mu * P(L)
-        self.Lmx = L - x
+        self.wx = ws if on_grid else simpson_weights(x.size, L / (x.size - 1))
 
     def convolve(self, values: np.ndarray):
         """(A, B, intA, intB) for the samples `values`; the integrals are Simpson over x.
@@ -227,30 +234,31 @@ class _SampledProfile:
         """
         if not np.isfinite(values).all():
             raise NonFiniteSolution("sampled load is not finite")
-        v = self.ws * values
-        fwd = _running_sums(v, self.Ps, self.s, self.fwd_plan)
-        bwd = _running_sums(v[::-1], self.Pu, self.u, self.bwd_plan)
-        head, tail = fwd[self.head], bwd[self.tail]
-        A = (self.left * head.real + self.right * tail.real) / self.scale
-        B = (self.Lmx * head.imag + self.x * tail.imag) / self.L
+        fwd = _running_sums(values, self.fwd_coef, self.fwd_blocks, reverse=False)
+        bwd = _running_sums(values, self.bwd_coef, self.bwd_blocks, reverse=True)
+        AB = fwd[self.at] * self.fwd_out
+        AB += bwd[self.at] * self.bwd_out
+        # Contiguous A and B: a dot over a strided column sums in another
+        # order, and the difference intB - intA would amplify that.
+        A, B = AB.T.copy()
         return A, B, float(self.wx @ A), float(self.wx @ B)
 
 
-def _convolve_term(term, x: np.ndarray, params: KernelParams, profile_for=None):
+def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
     """Convolutions of one load term with the two second-order kernels.
 
     Returns (A, B, intA, intB): A(x) solves -A'' + M*A = p with zero ends,
     B(x) solves -B'' = p with zero ends, and intA/intB are their integrals
     over the span.  Analytic terms are closed forms; Sampled terms are Simpson
     sums over the samples (O(n), see _SampledProfile) and then over x.
-    `profile_for(ns)` supplies the _SampledProfile for ns samples at x; by
-    default a throwaway one is built.
+    A LinearOperator whose grid is x supplies its gm_row_integral(x) and
+    its _SampledProfile for ns samples; without one, both are built here.
     """
     M, L, mu, muL = params.M, params.L, params.mu, params.muL
 
     if isinstance(term, Constant):
         v = term.value
-        A = v * gm_row_integral(x, params)
+        A = v * (gm_row_integral(x, params) if operator is None else operator.gm_row)
         B = v * x * (L - x) / 2.0
         intA = v * _gap_to_tanh(muL) / (M * mu)
         intB = v * L**3 / 12.0
@@ -314,13 +322,13 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, profile_for=None):
 
     if isinstance(term, Sampled):
         ns = term.values.size
-        profile = profile_for(ns) if profile_for else _SampledProfile(params, ns, x)
+        profile = _SampledProfile(params, ns, x) if operator is None else operator._profile_for(ns)
         return profile.convolve(term.values)
 
     raise TypeError(f"unsupported load term {type(term).__name__}")
 
 
-def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, profile_for=None):
+def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None):
     """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the positions x.
 
     Lambda is the double integral of the full solution kernel against the
@@ -328,7 +336,7 @@ def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, profile_for=N
     """
     A_tot = B_tot = lam = 0.0
     for term in load.terms:
-        A, B, intA, intB = _convolve_term(term, x, params, profile_for)
+        A, B, intA, intB = _convolve_term(term, x, params, operator)
         A_tot = A_tot + A
         B_tot = B_tot + B
         lam += (intB - intA) / params.M
@@ -344,11 +352,13 @@ class LinearOperator:
     """Solution map of the linear model for fixed (M, N, L, grid_points).
 
     Everything a solve needs that does not depend on the load is computed
-    once, when the operator is built: the grid x, psi(x), gm_row_integral(x),
-    zeta and 1 + N*zeta.  SingularResonance is raised here when 1 + N*zeta
-    vanishes, NonFiniteSolution when those profiles overflow.  The profile
-    of a Sampled load with one sample per grid node (Simpson weights, kernel
-    factors, block plans) is built on the first such solve and kept, so
+    once, when the operator is built: the grid x, psi(x) and gm_row_integral(x)
+    (from one kernel profile, with no domain check on the operator's own
+    grid), zeta, 1 + N*zeta and the SolutionMeta of every solution.
+    SingularResonance is raised here when 1 + N*zeta vanishes,
+    NonFiniteSolution when those profiles overflow.  The profile of a
+    Sampled load with one sample per grid node (its prepared coefficients,
+    see _SampledProfile) is built on the first such solve and kept, so
     closed-form solves never pay for it; a Sampled load of any other size
     gets a throwaway profile.
 
@@ -367,8 +377,7 @@ class LinearOperator:
         self.params = params
         self.grid = x
         try:
-            self.psi = _read_only(psi(x, params))
-            self.gm_row = _read_only(gm_row_integral(x, params))
+            self.psi, self.gm_row = map(_read_only, _row_integrals(x, params))
             self.zeta = zeta(params)
         except OverflowError as exc:
             raise NonFiniteSolution(f"kernel profiles overflow at M = {M:.6g}") from exc
@@ -378,7 +387,7 @@ class LinearOperator:
             raise SingularResonance(
                 f"1 + N*zeta = {self.denom:.3e} is numerically zero (N*zeta = {coupling:.6g})"
             )
-        self.regime = _classify_regime(M, N, L)
+        self.meta = SolutionMeta(M, N, L, grid_points, _classify_regime(M, N, L))
         self._profile = None
 
     def _profile_for(self, ns: int) -> _SampledProfile:
@@ -390,7 +399,7 @@ class LinearOperator:
 
     def assemble(self, load: LoadSpec):
         """(A_tot, B_tot, Lambda) of the load on the operator's grid."""
-        return _assemble(load, self.grid, self.params, self._profile_for)
+        return _assemble(load, self.grid, self.params, self)
 
     def solve(self, load: LoadSpec) -> GridSolution:
         """Solve the linear model for `load`: I = Lambda/(1 + N*zeta), then finish."""
@@ -416,10 +425,7 @@ class LinearOperator:
                 f"solution is not finite (integral = {integral_y:.6g}); a load term"
                 " may overflow over the span or hold non-finite samples"
             )
-        meta = SolutionMeta(
-            M=self.M, N=self.N, L=self.L, grid_points=self.grid_points, regime=self.regime
-        )
-        return GridSolution(grid=self.grid, y=y, ypp=ypp, integral_y=integral_y, meta=meta)
+        return GridSolution(grid=self.grid, y=y, ypp=ypp, integral_y=integral_y, meta=self.meta)
 
 
 def gp_convolution(x, problem: LinearProblem):

@@ -212,6 +212,31 @@ def test_bridge_report_forced_bundled_config(tmp_path):
                                                        rel=1e-9)
 
 
+# Per bundled config at --grid 1001: mode, exit code, and (status,
+# iterations, certified) where the mode iterates.  A roundoff-level change
+# to the sweeps must not move where an iteration stops or what it certifies.
+BUNDLED_OUTCOMES = {
+    "example_2_1": ("solve-linear", 0, None),
+    "example_2_2": ("solve-linear", 0, None),
+    "example_5_1": ("iterate", 0, ("converged", 7, True)),
+    "example_6_1": ("check", 2, None),
+    "example_6_2": ("bridge-report", 0, ("converged", 6, True)),
+    "example_6_3": ("bridge-report", 0, ("monotonicity-violation", 8, False)),
+}
+
+
+@pytest.mark.parametrize("config", sorted(BUNDLED_OUTCOMES))
+def test_bundled_config_outcome_is_pinned(tmp_path, config):
+    mode, exit_code, outcome = BUNDLED_OUTCOMES[config]
+    assert main([mode, "--config", config, "--grid", "1001", "--out", str(tmp_path)]) == exit_code
+    if outcome is not None:
+        if mode == "iterate":
+            run = json.loads((tmp_path / "trace.json").read_text())
+        else:
+            run = json.loads((tmp_path / "report.json").read_text())["iteration"]
+        assert (run["status"], run["iterations"], run["certified"]) == outcome
+
+
 def test_bridge_report_refusal_exits_two(tmp_path):
     cfg = write_config(
         tmp_path / "refused.json",

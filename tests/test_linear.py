@@ -271,7 +271,11 @@ def test_sampled_load_matches_analytic_term():
 
 
 def dense_simpson_convolutions(values, x, M, L):
-    """Reference: the Simpson sums as dense kernel-matrix products."""
+    """Reference: the Simpson sums as dense kernel-matrix products.
+
+    The decay is exp(-mu*(hi - lo)), not exp(mu*(lo + (L - hi)) - mu*L): the
+    second form cancels against mu*L and is off by about mu*L*eps.
+    """
     mu = np.sqrt(M)
     ns = len(values)
     s = uniform_grid(L, ns)[None, :]
@@ -279,7 +283,7 @@ def dense_simpson_convolutions(values, x, M, L):
     hi = np.maximum(x[:, None], s)
     num = np.expm1(-2.0 * mu * lo) * np.expm1(-2.0 * mu * (L - hi))
     den = -2.0 * np.expm1(-2.0 * mu * L)
-    gm = np.exp(mu * (lo + (L - hi)) - mu * L) * num / den / mu
+    gm = np.exp(-mu * (hi - lo)) * num / den / mu
     g0 = lo * (L - hi) / L
     wp = simpson_weights(ns, L / (ns - 1)) * np.asarray(values)
     return gm @ wp, g0 @ wp
@@ -353,10 +357,11 @@ def four_sum_convolutions(values, x, M, L):
 @pytest.mark.parametrize("muL", [1e-4, 0.66, 2.0, 300.0, 700.0, 2000.0])
 @pytest.mark.parametrize("ns", [501, 31])
 def test_packed_running_sums_keep_the_four_real_sums(muL, ns):
-    # Each direction packs its gm and g0 sums into one complex cumsum.  The
-    # parts are bitwise the real running sums on the operator's own grid in
-    # one damping block (mu*L <= 300); block carries and off-grid samples
-    # stay within roundoff.
+    # Each direction packs its gm and g0 sums into one complex cumsum over
+    # prepared coefficients, with every per-node factor folded in once.  The
+    # folded products are reassociated, so on and off the operator's grid,
+    # in one damping block or several, the parts agree with the four real
+    # running sums to within roundoff.
     L, n = 3.0, 501
     M = (muL / L) ** 2
     s = uniform_grid(L, ns)
@@ -364,11 +369,34 @@ def test_packed_running_sums_keep_the_four_real_sums(muL, ns):
     op = LinearOperator(M, 0.0, L, n)
     got = op._profile_for(ns).convolve(values)
     want = four_sum_convolutions(values, op.grid, M, L)
-    if ns == n and muL <= 300.0:
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    else:
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@given(
+    log_muL=st.floats(-4.0, float(np.log10(2000.0))),
+    L=st.floats(0.5, 300.0),
+    n=st.sampled_from([101, 501]),
+    ns=st.one_of(st.none(), st.integers(1, 300).map(lambda k: 2 * k + 1)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_prepared_convolution_matches_dense_simpson_sums(log_muL, L, n, ns, seed):
+    # The prepared coefficients reassociate every product of the Simpson
+    # sums; against the dense kernel-matrix sums they stay within 1e-13
+    # relative, on the operator's own grid (ns = None) and off it, in one
+    # damping block or several.
+    ns = n if ns is None else ns
+    M = (10.0**log_muL / L) ** 2
+    values = np.random.default_rng(seed).uniform(0.1, 2.0, ns)
+    op = LinearOperator(M, 0.0, L, n)
+    A, B, intA, intB = op._profile_for(ns).convolve(values)
+    A_ref, B_ref = dense_simpson_convolutions(values, op.grid, M, L)
+    w = simpson_weights(n, L / (n - 1))
+    for got, ref in ((A, A_ref), (B, B_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert intA == pytest.approx(float(w @ A_ref), rel=1e-13)
+    assert intB == pytest.approx(float(w @ B_ref), rel=1e-13)
 
 
 def _solution_bytes(sol):
@@ -409,7 +437,7 @@ def test_reused_operator_is_bit_identical_to_a_fresh_solve(muL):
     # The cached sampled profile is the only one kept; past mu*L = 300 it
     # runs the multi-block damped sums.
     assert op._profile is not None and op._profile.ns == n
-    assert (len(op._profile.fwd_plan) > 1) == (muL > 300.0)
+    assert (len(op._profile.fwd_blocks) > 1) == (muL > 300.0)
 
 
 @pytest.mark.parametrize("field", ["M", "N", "L", "grid_points"])

@@ -367,7 +367,7 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
     # not once per solve.
     import melan.linear
 
-    calls = {"psi": 0, "simpson_weights": 0}
+    calls = {"_row_integrals": 0, "simpson_weights": 0}
     for name in calls:
         original = getattr(melan.linear, name)
 
@@ -379,9 +379,9 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
     problem = standard_problem()
     verdict = run_monotone(make_sine_pair(problem, LAM, 501))
     assert verdict.iterations >= 3
-    # psi on the grid; one set of Simpson weights, since the samples sit on
-    # the grid and share its weights.
-    assert calls == {"psi": 1, "simpson_weights": 1}
+    # psi and gm_row_integral on the grid from one kernel profile; one set of
+    # Simpson weights, since the samples sit on the grid and share its weights.
+    assert calls == {"_row_integrals": 1, "simpson_weights": 1}
 
 
 def test_pair_operator_is_built_with_the_pair():
