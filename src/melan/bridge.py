@@ -11,14 +11,14 @@ the additional cable tension caused by the deflection.
 from __future__ import annotations
 
 import warnings as _warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .criteria import ConditionReport, _report, check_sine_conditions
 from .errors import ConfigError, EnvelopeViolation, MissingCableLength, NotApplicable
-from .linear import GridSolution, SolutionMeta
+from .linear import GridSolution
 from .loads import LoadSpec, Sampled
 from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
 from .quadrature import uniform_grid
@@ -327,8 +327,8 @@ def solve_bridge(
     The live load must stay inside the admissible envelope and the
     applicability verdict must be positive; `force=True` downgrades both
     refusals to warnings and runs the iteration unverified (its result is
-    then uncertified).  The bracket is the standard zero/sine pair of
-    amplitude L/100.
+    then uncertified; an envelope refusal heads the verdict's warnings).
+    The bracket is the standard zero/sine pair of amplitude L/100.
     """
     report = applicability(bp)
     L = bp.L
@@ -339,6 +339,7 @@ def solve_bridge(
     slack = _slack(p_env)
     below = float(np.min(p_env))
     excess = float(np.max(p_env - bound))
+    outside = None
     if below < -slack or excess > slack:
         msg = (
             f"live load leaves the admissible band 0 <= p <= "
@@ -348,6 +349,7 @@ def solve_bridge(
         if not force:
             raise EnvelopeViolation(msg)
         _warnings.warn(msg, stacklevel=2)
+        outside = msg
 
     if report.verdict == "not-applicable" and not force:
         raise NotApplicable(
@@ -362,17 +364,17 @@ def solve_bridge(
         raise ConfigError(f"the bridge data give no Melan problem: {exc}") from exc
     pair = make_sine_pair(problem, report.lam, grid_points)
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
+    if outside is not None:
+        # The run's own bound checks allow roundoff slack that can pass a
+        # load just outside the envelope, so the forced refusal decides.
+        verdict = replace(verdict, certified=False, warnings=(outside, *verdict.warnings))
 
-    meta = SolutionMeta(
-        M=verdict.M, N=verdict.N, L=L, grid_points=grid_points,
-        regime=f"monotone-{verdict.status}",
-    )
     deflection = GridSolution(
         grid=verdict.grid,
         y=verdict.y,
         ypp=verdict.ypp,
         integral_y=verdict.integral_y,
-        meta=meta,
+        regime=f"monotone-{verdict.status}",
     )
     h_w = (bp.EcAc / report.Lc) * report.qh * verdict.integral_y
     return BridgeSolution(

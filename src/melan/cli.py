@@ -46,12 +46,11 @@ def _fail(field: str, message: str) -> ConfigError:
     return ConfigError(f"config field '{field}': {message}")
 
 
-def _number(block: dict, field: str, path: str, required: bool = True,
-            default: Optional[float] = None) -> Optional[float]:
+def _number(block: dict, field: str, path: str, required: bool = True) -> Optional[float]:
     if field not in block:
         if required:
             raise _fail(f"{path}.{field}", "missing required number")
-        return default
+        return None
     value = block[field]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"{path}.{field}", f"expected a number, got {value!r}")
@@ -268,7 +267,7 @@ def _run_solve_linear(config: dict, args) -> int:
         "N": problem.N,
         "L": problem.L,
         "grid_points": num["grid_points"],
-        "regime": sol.meta.regime,
+        "regime": sol.regime,
         "max_abs_y": float(np.max(np.abs(sol.y))),
         "midspan_y": float(sol.y[len(sol.y) // 2]),
         "integral_y": sol.integral_y,

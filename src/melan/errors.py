@@ -6,6 +6,23 @@ Every error that callers are expected to catch derives from MelanError, so
 
 from __future__ import annotations
 
+__all__ = [
+    "MelanError",
+    "ConfigError",
+    "SingularResonance",
+    "NonFiniteSolution",
+    "NotContractive",
+    "InvalidPair",
+    "MonotonicityViolation",
+    "NotConverged",
+    "BoundUnavailable",
+    "MissingCableLength",
+    "EnvelopeViolation",
+    "NotApplicable",
+    "SingularSystem",
+    "NewtonDiverged",
+]
+
 
 class MelanError(Exception):
     """Base class for all package-specific errors."""

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "KernelParams",
     "sinh_ratio",
-    "sinh_frac",
     "green_g0",
     "green_gm",
     "green_g",

@@ -48,7 +48,6 @@ from .quadrature import simpson_weights, uniform_grid
 
 __all__ = [
     "LinearProblem",
-    "SolutionMeta",
     "GridSolution",
     "LinearOperator",
     "gp_convolution",
@@ -85,17 +84,6 @@ class LinearProblem:
             raise TypeError("load must be a LoadSpec")
 
 
-@dataclass(frozen=True)
-class SolutionMeta:
-    """Coefficients the solution was computed for, plus the solvability regime."""
-
-    M: float
-    N: float
-    L: float
-    grid_points: int
-    regime: str
-
-
 @dataclass(frozen=True, eq=False)
 class GridSolution:
     """Solution samples on a uniform grid.
@@ -103,13 +91,16 @@ class GridSolution:
     `y` and `ypp` (the second derivative) come from closed forms evaluated
     pointwise, so `ypp` is not a finite difference of `y`; `integral_y` is
     the analytic value of the nonlocal term, not a quadrature of `y`.
+    `regime` says where the solution came from: the closed form's
+    solvability label (_classify_regime), "finite-difference" from the
+    oracle, or "monotone-<status>" from solve_bridge.
     """
 
     grid: np.ndarray
     y: np.ndarray
     ypp: np.ndarray
     integral_y: float
-    meta: SolutionMeta
+    regime: str
 
 
 def _classify_regime(M: float, N: float, L: float) -> str:
@@ -354,7 +345,7 @@ class LinearOperator:
     Everything a solve needs that does not depend on the load is computed
     once, when the operator is built: the grid x, psi(x) and gm_row_integral(x)
     (from one kernel profile, with no domain check on the operator's own
-    grid), zeta, 1 + N*zeta and the SolutionMeta of every solution.
+    grid), zeta, 1 + N*zeta and the regime label of every solution.
     SingularResonance is raised here when 1 + N*zeta vanishes,
     NonFiniteSolution when those profiles overflow.  The profile of a
     Sampled load with one sample per grid node (its prepared coefficients,
@@ -387,7 +378,7 @@ class LinearOperator:
             raise SingularResonance(
                 f"1 + N*zeta = {self.denom:.3e} is numerically zero (N*zeta = {coupling:.6g})"
             )
-        self.meta = SolutionMeta(M, N, L, grid_points, _classify_regime(M, N, L))
+        self.regime = _classify_regime(M, N, L)
         self._profile = None
 
     def _profile_for(self, ns: int) -> _SampledProfile:
@@ -425,7 +416,7 @@ class LinearOperator:
                 f"solution is not finite (integral = {integral_y:.6g}); a load term"
                 " may overflow over the span or hold non-finite samples"
             )
-        return GridSolution(grid=self.grid, y=y, ypp=ypp, integral_y=integral_y, meta=self.meta)
+        return GridSolution(self.grid, y, ypp, integral_y, self.regime)
 
 
 def gp_convolution(x, problem: LinearProblem):

@@ -22,7 +22,6 @@ __all__ = [
     "Cubic",
     "SinhTerm",
     "Sampled",
-    "LoadTerm",
     "LoadSpec",
 ]
 

@@ -67,6 +67,11 @@ def _slack(values: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(values))))
 
 
+def _gap_bound(L: float, rho: float, n: int, gap0_pp: float) -> float:
+    """(L**2/4)*rho**n*gap0_pp, the a-priori bracket width after n sweeps (rho clamped at 0)."""
+    return (L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp
+
+
 @dataclass(frozen=True)
 class MelanProblem:
     """Coefficients and load of the nonlinear model; a, b, c must be > 0."""
@@ -368,7 +373,7 @@ def run_monotone(
 
     alphas = [pair.alpha]
     betas = [pair.beta]
-    gap_bounds = [(problem.L**2 / 4.0) * gap0_pp]
+    gap_bounds = [_gap_bound(problem.L, rho, 0, gap0_pp)]
     violated = False
 
     # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
@@ -394,7 +399,7 @@ def run_monotone(
 
         alphas.append(new_alpha)
         betas.append(new_beta)
-        gap_bounds.append((problem.L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp)
+        gap_bounds.append(_gap_bound(problem.L, rho, n, gap0_pp))
         gaps.append(float(max(w.max(), -w_min)))
 
     iterations = len(gaps) - 1
@@ -434,11 +439,12 @@ def run_monotone(
 def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
     """A-priori error estimates after n sweeps of a contracting iteration.
 
-    Returns (a_priori, gap_bound) where gap_bound = gap_bounds[0] * rho**n
-    = (L**2/4) * rho**n * ||alpha0'' - beta0''||_inf limits the bracket
-    width and a_priori = gap_bound / (1 - rho) limits the sup-norm distance
-    from either n-th iterate to the extremal solution it converges to.  n
-    may exceed the sweeps the run made.  Only available for rho < 1.
+    Returns (a_priori, gap_bound).  gap_bound = (L**2/4) * rho**n *
+    ||alpha0'' - beta0''||_inf limits the bracket width; it is computed as
+    gap_bounds[n] is, so the two agree exactly.  a_priori = gap_bound /
+    (1 - rho) limits the sup-norm distance from either n-th iterate to the
+    extremal solution it converges to.  n may exceed the sweeps the run
+    made.  Only available for rho < 1.
     """
     if n < 0:
         raise ValueError(f"iteration index must be nonnegative, got {n}")
@@ -447,7 +453,9 @@ def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
         raise BoundUnavailable(
             f"contraction factor rho = {rho:.6g} is not below 1"
         )
-    gap_bound = verdict.gap_bounds[0] * max(rho, 0.0) ** n
+    alpha0, beta0 = verdict.lower.iterates[0], verdict.upper.iterates[0]
+    gap0_pp = float(np.max(np.abs(alpha0.ypp - beta0.ypp)))
+    gap_bound = _gap_bound(float(verdict.grid[-1]), rho, n, gap0_pp)
     a_priori = gap_bound / (1.0 - rho)
     return a_priori, gap_bound
 

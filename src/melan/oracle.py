@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NewtonDiverged, SingularSystem
-from .linear import GridSolution, LinearProblem, SolutionMeta
+from .linear import GridSolution, LinearProblem
 from .monotone import MelanProblem
 
 __all__ = [
@@ -142,29 +142,22 @@ def fd_solve_linear(problem: LinearProblem, cfg: FdConfig = FdConfig()) -> GridS
     u[2 : m - 2] = problem.N
 
     y = _rank_one_solve(ab, rhs, u, t)
-    meta = SolutionMeta(
-        M=problem.M, N=problem.N, L=L, grid_points=m, regime="finite-difference"
-    )
     return GridSolution(
         grid=x,
         y=y,
         ypp=_ypp_by_differences(y, h),
         integral_y=float(t @ y),
-        meta=meta,
+        regime="finite-difference",
     )
 
 
-def fd_solve_nonlinear(
-    problem: MelanProblem,
-    cfg: FdConfig = FdConfig(),
-    initial: np.ndarray = None,
-) -> GridSolution:
+def fd_solve_nonlinear(problem: MelanProblem, cfg: FdConfig = FdConfig()) -> GridSolution:
     """Solve the nonlinear model by damped Newton on the discretized residual.
 
     The residual is w'''' - (a + b*T)*w'' + c*T - p with T the trapezoid
     integral of w; its Jacobian is the banded part with frozen coefficient
     a + b*T plus the rank-one term (c - b*w'')*t^T from the two integral
-    couplings.  The default start is the linear solve with (M, N) = (a, c),
+    couplings.  The start is the linear solve with (M, N) = (a, c),
     since the nonlinear correction is a mild perturbation in every regime
     of interest.  Convergence: residual sup-norm < newton_tol * max(1,
     max|p|).
@@ -177,15 +170,7 @@ def fd_solve_nonlinear(
     scale = max(1.0, float(np.max(np.abs(p))))
     t = _trapezoid_row(m, h)
 
-    if initial is None:
-        start = fd_solve_linear(
-            LinearProblem(M=problem.a, N=problem.c, L=L, load=problem.load), cfg
-        )
-        w = start.y.copy()
-    else:
-        given = np.asarray(initial, dtype=float)
-        w = np.interp(x, np.linspace(0.0, L, given.size), given)
-        w[0] = w[-1] = 0.0
+    w = fd_solve_linear(LinearProblem(M=problem.a, N=problem.c, L=L, load=problem.load), cfg).y
 
     h2 = h * h
     h4 = h2 * h2
@@ -218,17 +203,10 @@ def fd_solve_nonlinear(
             f"{cfg.newton_max} damped Newton steps"
         )
 
-    meta = SolutionMeta(
-        M=problem.a + problem.b * float(t @ w),
-        N=problem.c,
-        L=L,
-        grid_points=m,
-        regime="finite-difference",
-    )
     return GridSolution(
         grid=x,
         y=w,
         ypp=_ypp_by_differences(w, h),
         integral_y=float(t @ w),
-        meta=meta,
+        regime="finite-difference",
     )

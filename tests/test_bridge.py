@@ -400,6 +400,19 @@ def test_forced_excessive_load_runs_uncertified():
     assert not result.monotone.certified
 
 
+def test_forced_load_just_outside_the_envelope_is_uncertified():
+    # B*(1 + 1e-6) passes the run's own initial upper check, whose roundoff
+    # allowance is about 0.46 kN/m here; the forced envelope refusal must
+    # still leave the result uncertified, with its message first
+    bp = span_100()
+    load = LoadSpec((Constant(applicability(bp).envelope_const * (1.0 + 1e-6)),))
+    with pytest.warns(UserWarning, match="admissible band"):
+        v = solve_bridge(bp, load, force=True).monotone
+    assert v.status == "converged"
+    assert not v.certified
+    assert v.warnings[0].startswith("live load leaves the admissible band")
+
+
 def test_missing_cable_length_detected():
     # q = 0 gives a flat cable: no length can be derived, and the sag
     # ratio n = 0 also draws the out-of-range warning

@@ -507,7 +507,7 @@ def test_zero_load_gives_zero_solution():
 def test_regime_labels():
     def regime(N):
         pr = LinearProblem(M=1.0, N=N, L=1.0, load=LoadSpec((Constant(1.0),)))
-        return solve_linear(pr, grid_points=101).meta.regime
+        return solve_linear(pr, grid_points=101).regime
 
     assert regime(0.5) == "unconditional"
     assert regime(-0.5) == "small-coupling"

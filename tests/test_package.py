@@ -1,13 +1,36 @@
-"""Package surface: every name a melan module exports is defined."""
+"""Package surface: every public name is declared once, defined and imported for a use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import melan
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["melan"] + [f"melan.{m.name}" for m in pkgutil.iter_modules(melan.__path__)]
+
+# sorted(melan.__all__): the names the package exported before its list was
+# built from the module lists, less SolutionMeta (GridSolution.regime now).
+SURFACE = [
+    "Affine", "ApplicabilityReport", "BoundPair", "BoundUnavailable", "BridgeParams",
+    "BridgeSolution", "ConditionReport", "ConfigError", "Constant", "Cubic",
+    "EnvelopeViolation", "FdConfig", "GridSolution", "InvalidPair", "Iterate",
+    "IterationTrace", "KernelParams", "LinearOperator", "LinearProblem", "LoadSpec",
+    "MelanError", "MelanProblem", "MissingCableLength", "MonotoneVerdict",
+    "MonotonicityViolation", "NewtonDiverged", "NonFiniteSolution", "NotApplicable",
+    "NotContractive", "NotConverged", "Sampled", "SineCheck", "SineHalfWave", "SineShape",
+    "SingularResonance", "SingularSystem", "SinhTerm", "ZeroShape", "__version__",
+    "applicability", "cable_length", "check_positivity", "check_sine_conditions",
+    "check_smallness", "check_uniqueness", "contraction_rho", "derive_coefficients",
+    "error_bounds", "fd_solve_linear", "fd_solve_nonlinear", "gm_row_integral",
+    "gp_convolution", "green_g", "green_g0", "green_gm", "iterate_melan", "iterate_once",
+    "load_envelope", "load_moment_g", "make_sine_pair", "picard_iterate", "psi", "residual",
+    "run_monotone", "sigma", "sinh_ratio", "solve_bridge", "solve_linear", "theta",
+    "verify_lower", "verify_upper", "xi", "zeta",
+]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -17,3 +40,42 @@ def test_every_all_entry_resolves(name):
     module = importlib.import_module(name)
     missing = [entry for entry in getattr(module, "__all__", ()) if not hasattr(module, entry)]
     assert not missing
+
+
+def test_package_surface_is_pinned():
+    assert sorted(melan.__all__) == SURFACE
+
+
+def test_every_public_name_is_declared_in_exactly_one_module():
+    lists = [getattr(importlib.import_module(name), "__all__", ()) for name in MODULES[1:]]
+    counts = {entry: sum(entry in names for names in lists) for entry in melan.__all__}
+    counts.pop("__version__")
+    assert {entry: n for entry, n in counts.items() if n != 1} == {}
+
+
+def _unused_imports(source: str):
+    """Names a module imports (not __future__, not *) that its code never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names if a.name != "*")
+        elif isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_used_or_wrapped_by_the_tracer(monkeypatch):
+    # An import kept only so that perfbench/tracer.py can wrap the name at
+    # that site (melan.linear.psi, melan.monotone.integrate) is allowed only
+    # while the tracer lists that site.
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.tracer import SITES
+
+    wrapped = {(path, attr) for path, attr, _ in SITES}
+    unused = {
+        (name, attr)
+        for name in MODULES
+        for attr in _unused_imports(Path(importlib.import_module(name).__file__).read_text())
+    }
+    assert unused - wrapped == set()
