@@ -10,6 +10,7 @@ the additional cable tension caused by the deflection.
 
 from __future__ import annotations
 
+import functools
 import warnings as _warnings
 from dataclasses import dataclass, replace
 from typing import List, Optional, Tuple
@@ -296,16 +297,36 @@ class BridgeSolution:
     h_w: float
 
 
-def _envelope_points(live_load: LoadSpec, L: float) -> np.ndarray:
-    """Positions at which the envelope condition is checked.
+def _envelope_bound(report: ApplicabilityReport, x: np.ndarray, L: float) -> np.ndarray:
+    """The envelope's upper edge A*sin(pi*x/L) + B at the positions x."""
+    return report.envelope_sine * np.sin(np.pi * x / L) + report.envelope_const
 
-    Analytic terms are low-order and smooth, so a dense uniform grid is a
-    faithful proxy; sampled terms are additionally checked at their own
+
+@functools.lru_cache(maxsize=1)
+def _bridge_facts(bp: BridgeParams):
+    """(report, x, bound): a bridge's applicability and its envelope bound on x.
+
+    x is the uniform 1001-point grid on which every live load's envelope is
+    checked.  None of the three depends on the live load, so one slot keeps
+    them for the next load on the same bridge.  x and bound are read-only.
+    """
+    report = applicability(bp)
+    x = uniform_grid(bp.L, 1001)
+    bound = _envelope_bound(report, x, bp.L)
+    x.flags.writeable = bound.flags.writeable = False
+    return report, x, bound
+
+
+def _sampled_points(live_load: LoadSpec, L: float) -> np.ndarray:
+    """Extra positions at which the envelope condition is checked.
+
+    Analytic terms are low-order and smooth, so the dense uniform check grid
+    is a faithful proxy; sampled terms are additionally checked at their own
     nodes and the midpoints between them.  Only extremes over the points
     are taken, so they are neither sorted nor deduplicated (`np.unique`
     would also import `numpy.ma` on a cold start).
     """
-    pts = [uniform_grid(L, 1001)]
+    pts = [np.empty(0)]
     for term in live_load.terms:
         if isinstance(term, Sampled):
             nodes = np.linspace(0.0, L, len(term.values))
@@ -328,14 +349,17 @@ def solve_bridge(
     applicability verdict must be positive; `force=True` downgrades both
     refusals to warnings and runs the iteration unverified (its result is
     then uncertified; an envelope refusal heads the verdict's warnings).
-    The bracket is the standard zero/sine pair of amplitude L/100.
+    The bracket is the standard zero/sine pair of amplitude L/100.  What
+    depends only on the bridge (and grid) is kept for the next live load
+    on the same bridge: the applicability report, the envelope bound on
+    the check grid and the bracket (see make_sine_pair).
     """
-    report = applicability(bp)
+    report, x_check, bound_check = _bridge_facts(bp)
     L = bp.L
 
-    x_env = _envelope_points(live_load, L)
-    p_env = live_load.evaluate(x_env, L)
-    bound = report.envelope_sine * np.sin(np.pi * x_env / L) + report.envelope_const
+    x_extra = _sampled_points(live_load, L)
+    p_env = live_load.evaluate(np.concatenate((x_check, x_extra)), L)
+    bound = np.concatenate((bound_check, _envelope_bound(report, x_extra, L)))
     slack = _slack(p_env)
     below = float(np.min(p_env))
     excess = float(np.max(p_env - bound))

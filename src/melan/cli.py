@@ -236,8 +236,10 @@ def _numerics(config: dict, args) -> dict:
         raise _fail("numerics.tol", f"expected a positive finite number, got {tol}")
     if max_iter < 1:
         raise _fail("numerics.max_iter", f"expected an integer >= 1, got {max_iter}")
-    force = bool(args.force or block.get("force", False))
-    return {"grid_points": grid, "max_iter": max_iter, "tol": tol, "force": force}
+    force = block.get("force", False)
+    if not isinstance(force, bool):
+        raise _fail("numerics.force", f"expected true or false, got {force!r}")
+    return {"grid_points": grid, "max_iter": max_iter, "tol": tol, "force": args.force or force}
 
 
 # ---------------------------------------------------------------------------

@@ -245,6 +245,12 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
     A LinearOperator whose grid is x supplies its gm_row_integral(x) and
     its _SampledProfile for ns samples; without one, both are built here.
     """
+    # Sampled first: every sweep of a monotone run solves one.
+    if isinstance(term, Sampled):
+        ns = term.values.size
+        profile = _SampledProfile(params, ns, x) if operator is None else operator._profile_for(ns)
+        return profile.convolve(term.values)
+
     M, L, mu, muL = params.M, params.L, params.mu, params.muL
 
     if isinstance(term, Constant):
@@ -311,11 +317,6 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
             )
         return A, B, intA, intB
 
-    if isinstance(term, Sampled):
-        ns = term.values.size
-        profile = _SampledProfile(params, ns, x) if operator is None else operator._profile_for(ns)
-        return profile.convolve(term.values)
-
     raise TypeError(f"unsupported load term {type(term).__name__}")
 
 
@@ -323,13 +324,16 @@ def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None
     """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the positions x.
 
     Lambda is the double integral of the full solution kernel against the
-    load, i.e. the integral over the span of (B_tot - A_tot)/M.
+    load, i.e. the integral over the span of (B_tot - A_tot)/M.  Every term
+    returns fresh arrays, so the first term's arrays start the sums in place.
     """
-    A_tot = B_tot = lam = 0.0
-    for term in load.terms:
+    first, *rest = load.terms
+    A_tot, B_tot, intA, intB = _convolve_term(first, x, params, operator)
+    lam = (intB - intA) / params.M
+    for term in rest:
         A, B, intA, intB = _convolve_term(term, x, params, operator)
-        A_tot = A_tot + A
-        B_tot = B_tot + B
+        A_tot += A
+        B_tot += B
         lam += (intB - intA) / params.M
     return A_tot, B_tot, lam
 
@@ -403,15 +407,20 @@ class LinearOperator:
 
         y = (B - A)/M - coupled*psi and y'' = -A + coupled*gm_row_integral,
         where `coupled` is N times the integral fed back through the coupling:
-        integral_y itself for a full solve, a partial sum for Picard.  Raises
-        NonFiniteSolution when y, y'' or integral_y is NaN or infinite.
+        integral_y itself for a full solve, a partial sum for Picard.  y and
+        y'' are the two rows of one (2, n) array.  Raises NonFiniteSolution
+        when y, y'' or integral_y is NaN or infinite.
         """
-        y = (B_tot - A_tot) / self.M - coupled * self.psi
-        ypp = coupled * self.gm_row - A_tot
+        rows = np.empty((2, self.grid_points))
+        y, ypp = rows
+        np.subtract(B_tot, A_tot, out=y)
+        y /= self.M
+        y -= coupled * self.psi
+        np.multiply(coupled, self.gm_row, out=ypp)
+        ypp -= A_tot
         # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
-        y[0] = y[-1] = 0.0
-        ypp[0] = ypp[-1] = 0.0
-        if not (math.isfinite(integral_y) and np.isfinite(y).all() and np.isfinite(ypp).all()):
+        rows[:, 0] = rows[:, -1] = 0.0
+        if not (math.isfinite(integral_y) and np.isfinite(rows).all()):
             raise NonFiniteSolution(
                 f"solution is not finite (integral = {integral_y:.6g}); a load term"
                 " may overflow over the span or hold non-finite samples"

@@ -17,6 +17,7 @@ shrinks geometrically, bracketing the true solution at every step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -108,8 +109,10 @@ class BoundPair:
 
     alpha = 0 lies below and beta = lam*sin(pi*x/L) above, with the frozen
     coefficients (M, N) that make the pair a bracket.  `p` is the problem's
-    load on the grid (read-only), sampled once for every sweep of a run,
-    and `operator` the linear operator for (M, N) on the grid.
+    load on the grid, sampled once for every sweep of a run, and `operator`
+    the linear operator for (M, N) on the grid.  Every array is read-only:
+    pairs with the same (a, b, c, L, lam, grid) share the grid, the bound
+    samples and the operator.
     """
 
     problem: MelanProblem
@@ -264,6 +267,29 @@ def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> Condi
 # Pair construction and iteration
 
 
+@functools.lru_cache(maxsize=1)
+def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: int):
+    """Everything of the zero/sine bracket that does not depend on the load.
+
+    Returns (operator, zero, sine_y, sine_ypp, M, N): the linear operator for
+    the sine bound's (M, N) on the grid (its grid is the bracket's), the
+    zero samples and the sine's y and y'' samples, all read-only.  One slot:
+    consecutive brackets of one bridge and grid, one per live load, share
+    the arrays and the operator, and with it the operator's sampled-load
+    profile.  The arrays are pure functions of the key, so a hit and a miss
+    give the same bits.
+    """
+    sine_check = check_sine_conditions(a, b, c, L, lam)
+    operator = LinearOperator(sine_check.M, sine_check.N, float(L), grid_points)
+    y = SineShape(lam).evaluate(operator.grid, L)
+    # SineShape.second, from the same samples.
+    ypp = -((np.pi / L) ** 2) * y
+    zero = np.zeros_like(y)
+    for samples in (zero, y, ypp):
+        samples.flags.writeable = False
+    return operator, zero, y, ypp, sine_check.M, sine_check.N
+
+
 def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -> BoundPair:
     """Build the zero/sine bracket with its frozen linearization coefficients.
 
@@ -272,31 +298,30 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     the pair is ordered and its coefficients dominate by construction.
     lam = 0 degenerates to the (well-formed) equal pair alpha = beta = 0
     with M = a, N = c.  A sine whose curvature lam*(pi/L)**2 overflows
-    raises NonFiniteSolution.
+    raises NonFiniteSolution.  Only the load is sampled per call; the rest
+    comes from the last bracket built when (a, b, c, L, lam, grid_points)
+    repeats, so every array of the pair is read-only.
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     L = problem.L
     if not np.isfinite(lam * (np.pi / L) ** 2):
         raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
-    x = uniform_grid(L, grid_points)
-    sine = SineShape(lam)
-    y = sine.evaluate(x, L)
-    zero = np.zeros_like(x)
-    p = problem.load.evaluate(x, L)
+    operator, zero, y, ypp, M, N = _bracket(
+        problem.a, problem.b, problem.c, L, lam, grid_points
+    )
+    p = problem.load.evaluate(operator.grid, L)
     p.flags.writeable = False
-    sine_check = check_sine_conditions(problem.a, problem.b, problem.c, L, lam)
     return BoundPair(
         problem=problem,
-        grid=x,
-        alpha=Iterate(y=zero, ypp=zero.copy(), integral=0.0),
-        # SineShape.second, from the same samples.
-        beta=Iterate(y=y, ypp=-((np.pi / L) ** 2) * y, integral=sine.integral(L)),
-        M=sine_check.M,
-        N=sine_check.N,
+        grid=operator.grid,
+        alpha=Iterate(y=zero, ypp=zero, integral=0.0),
+        beta=Iterate(y=y, ypp=ypp, integral=SineShape(lam).integral(L)),
+        M=M,
+        N=N,
         lam=float(lam),
         p=p,
-        operator=LinearOperator(sine_check.M, sine_check.N, float(L), grid_points),
+        operator=operator,
     )
 
 
@@ -314,7 +339,10 @@ def iterate_once(prev: Iterate, pair: BoundPair) -> Iterate:
     """
     problem = pair.problem
     I = prev.integral
-    F = pair.p + (problem.a - pair.M + problem.b * I) * prev.ypp + (pair.N - problem.c) * I
+    # In place, in the order p + (a - M + b*I)*prev'' + (N - c)*I.
+    F = np.multiply(problem.a - pair.M + problem.b * I, prev.ypp)
+    F += pair.p
+    F += (pair.N - problem.c) * I
     linear = LinearProblem(M=pair.M, N=pair.N, L=problem.L, load=LoadSpec((Sampled(F),)))
     sol: GridSolution = solve_linear(linear, grid_points=len(pair.grid), operator=pair.operator)
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
@@ -375,32 +403,52 @@ def run_monotone(
     betas = [pair.beta]
     gap_bounds = [_gap_bound(problem.L, rho, 0, gap0_pp)]
     violated = False
+    # Per sweep, diffs[k] holds the y and y'' differences previous lower - new
+    # lower (k = 0), new upper - previous upper (1) and new upper - new lower
+    # (2); their maxima and minima give the six excesses and the gap.
+    diffs = np.empty((3, 2, pair.grid.size))
 
-    # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
-    while not gaps[-1] < tol and len(gaps) <= max_iter:
-        n = len(gaps)
-        new_alpha = iterate_once(alphas[-1], pair)
-        new_beta = iterate_once(betas[-1], pair)
-        w = new_beta.y - new_alpha.y
-        w_min = w.min()
+    # Overflow raises, so a diverging run stops at its first non-finite
+    # value, and is reported as a divergence rather than as a bad load.
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
+            while not gaps[-1] < tol and len(gaps) <= max_iter:
+                n = len(gaps)
+                prev_alpha, prev_beta = alphas[-1], betas[-1]
+                side, prev = "lower", prev_alpha
+                new_alpha = iterate_once(prev, pair)
+                side, prev = "upper", prev_beta
+                new_beta = iterate_once(prev, pair)
+                for k, (first, second) in enumerate(
+                        ((prev_alpha, new_alpha), (new_beta, prev_beta), (new_beta, new_alpha))):
+                    np.subtract(first.y, second.y, out=diffs[k, 0])
+                    np.subtract(first.ypp, second.ypp, out=diffs[k, 1])
+                hi, lo = diffs.max(axis=2), diffs.min(axis=2)
 
-        checks = [
-            ("lower iterates must not descend", (alphas[-1].y - new_alpha.y).max(), tol_y),
-            ("upper iterates must not ascend", (new_beta.y - betas[-1].y).max(), tol_y),
-            ("lower curvature must not ascend", (new_alpha.ypp - alphas[-1].ypp).max(), tol_pp),
-            ("upper curvature must not descend", (betas[-1].ypp - new_beta.ypp).max(), tol_pp),
-            ("bracket ordering must hold", -w_min, tol_y),
-            ("bracket curvature ordering must hold", (new_beta.ypp - new_alpha.ypp).max(), tol_pp),
-        ]
-        for label, excess, allowance in checks:
-            if excess > allowance:
-                refuse(MonotonicityViolation, f"sweep {n}: {label} (excess {float(excess):.6g})")
-                violated = True
+                checks = (
+                    ("lower iterates must not descend", hi[0, 0], tol_y),
+                    ("upper iterates must not ascend", hi[1, 0], tol_y),
+                    ("lower curvature must not ascend", -lo[0, 1], tol_pp),
+                    ("upper curvature must not descend", -lo[1, 1], tol_pp),
+                    ("bracket ordering must hold", -lo[2, 0], tol_y),
+                    ("bracket curvature ordering must hold", hi[2, 1], tol_pp),
+                )
+                for label, excess, allowance in checks:
+                    if excess > allowance:
+                        refuse(MonotonicityViolation,
+                               f"sweep {n}: {label} (excess {float(excess):.6g})")
+                        violated = True
 
-        alphas.append(new_alpha)
-        betas.append(new_beta)
-        gap_bounds.append(_gap_bound(problem.L, rho, n, gap0_pp))
-        gaps.append(float(max(w.max(), -w_min)))
+                alphas.append(new_alpha)
+                betas.append(new_beta)
+                gap_bounds.append(_gap_bound(problem.L, rho, n, gap0_pp))
+                gaps.append(float(max(hi[2, 0], -lo[2, 0])))
+        except FloatingPointError as exc:
+            raise NonFiniteSolution(
+                f"the {side} iterates diverge: sweep {n} overflows "
+                f"(previous integral {prev.integral:.6g})"
+            ) from exc
 
     iterations = len(gaps) - 1
     converged = gaps[-1] < tol

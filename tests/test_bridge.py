@@ -8,10 +8,14 @@ Three reference configurations are used throughout (all quantities kN, m):
 """
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import melan.bridge
+import melan.linear
+import melan.monotone
 from melan import (
     BridgeParams,
     Constant,
@@ -26,6 +30,7 @@ from melan import (
     derive_coefficients,
     iterate_melan,
     load_envelope,
+    make_sine_pair,
     solve_bridge,
     solve_linear,
     verify_upper,
@@ -435,3 +440,99 @@ def test_underdetermined_parameters_rejected():
 def test_atypical_sag_ratio_warns():
     with pytest.warns(UserWarning, match="sag-span"):
         BridgeParams(L=100.0, EI=1e8, EcAc=1e7, Lc=103.0, n=0.5, H=10000.0)
+
+
+# ---------------------------------------------------------------------------
+# reuse across live loads on one bridge
+
+
+def clear_memos():
+    melan.bridge._bridge_facts.cache_clear()
+    melan.monotone._bracket.cache_clear()
+
+
+LIVE_LOADS = (
+    LoadSpec((Constant(200.0),)),
+    LoadSpec((Constant(60.0), SineHalfWave(300.0))),
+    LoadSpec((Sampled(np.linspace(20.0, 180.0, 41)),)),
+)
+
+
+def assert_same_run(first, second):
+    # every iterate, gap, gap bound and h_w, bit for bit
+    v, w = first.monotone, second.monotone
+    for a, b in ((v.lower, w.lower), (v.upper, w.upper)):
+        assert len(a.iterates) == len(b.iterates)
+        for x, y in zip(a.iterates, b.iterates):
+            assert np.array_equal(x.y, y.y) and np.array_equal(x.ypp, y.ypp)
+            assert x.integral == y.integral
+    assert np.array_equal(v.grid, w.grid)
+    assert v.gaps == w.gaps and v.gap_bounds == w.gap_bounds
+    assert first.h_w == second.h_w
+    assert first.report == second.report
+
+
+def test_warm_and_cold_solves_agree_bit_for_bit():
+    bp = span_100()
+    clear_memos()
+    warm = [solve_bridge(bp, load, grid_points=201) for load in LIVE_LOADS]
+    for load, hot in zip(LIVE_LOADS, warm):
+        clear_memos()
+        assert_same_run(hot, solve_bridge(bp, load, grid_points=201))
+
+
+def test_alternating_bridges_get_their_own_results():
+    # The two bridges differ only in EI; each alternation misses both memos.
+    bridges = (span_100(), replace(span_100(), EI=2.0 * span_100().EI))
+    cold = []
+    for bp in bridges:
+        clear_memos()
+        cold.append(solve_bridge(bp, LIVE_LOADS[1], grid_points=201))
+    for _ in range(2):
+        for bp, ref in zip(bridges, cold):
+            run = solve_bridge(bp, LIVE_LOADS[1], grid_points=201)
+            assert_same_run(run, ref)
+            # the bracket is this bridge's own: the report's frozen (M, N)
+            assert (run.monotone.M, run.monotone.N) == (run.report.M, run.report.N)
+    assert cold[0].report.a != cold[1].report.a
+
+
+def test_each_memo_holds_one_read_only_entry():
+    for bp in (span_100(), span_460(), span_100()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # span-460 is forced
+            sol = solve_bridge(bp, LIVE_LOADS[0], grid_points=101, force=True, max_iter=3)
+    for memo in (melan.bridge._bridge_facts, melan.monotone._bracket):
+        info = memo.cache_info()
+        assert info.maxsize == 1 and info.currsize == 1
+    report, x, bound = melan.bridge._bridge_facts(span_100())
+    pair = make_sine_pair(MelanProblem(report.a, report.b, report.c, 100.0, LIVE_LOADS[0]),
+                          report.lam, 101)
+    for arr in (x, bound, sol.monotone.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
+                pair.beta.y, pair.beta.ypp):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[1] = 1.0
+
+
+def test_a_second_load_on_a_bridge_rebuilds_nothing(monkeypatch):
+    # The bracket's operator, its sampled-load profile and the applicability
+    # report are built once per bridge and grid, not once per live load.
+    counts = {"LinearOperator": 0, "_SampledProfile": 0, "applicability": 0}
+    for module, name in ((melan.monotone, "LinearOperator"),
+                         (melan.linear, "_SampledProfile"),
+                         (melan.bridge, "applicability")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    clear_memos()
+    solve_bridge(span_100(), LIVE_LOADS[0], grid_points=201)
+    assert counts == {"LinearOperator": 1, "_SampledProfile": 1, "applicability": 1}
+    solve_bridge(span_100(), LIVE_LOADS[1], grid_points=201)
+    assert counts == {"LinearOperator": 1, "_SampledProfile": 1, "applicability": 1}
+    solve_bridge(replace(span_100(), EI=2.0 * span_100().EI), LIVE_LOADS[1], grid_points=201)
+    assert counts == {"LinearOperator": 2, "_SampledProfile": 2, "applicability": 2}

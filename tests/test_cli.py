@@ -362,27 +362,36 @@ SPAN_100 = {"L": 100.0, "EI": 4.557e8, "EcAc": 4121700.0, "Lc": 103.2,
             "n": 1.0 / 9.0, "H": 19850.4}
 
 
+SPAN_150 = {"L": 150.0, "EI": 4.557e8, "EcAc": 4121730.0, "Lc": 163.2, "n": 0.2,
+            "H": 16542.0}
+
+
 @pytest.mark.parametrize(
-    "mode, problem, load, flags, code, message",
+    "mode, problem, load, numerics, flags, code, message",
     [
         ("iterate", {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.0, "lambda": -1.0},
-         [{"type": "constant", "value": 0.1}], [], 1,
+         [{"type": "constant", "value": 0.1}], {}, [], 1,
          "error: config field 'problem.lambda': "),
-        ("check", {**SPAN_100, "EI": 1e-320}, [], [], 1,
+        ("check", {**SPAN_100, "EI": 1e-320}, [], {}, [], 1,
          "error: model coefficient a = inf overflows"),
         ("bridge-report", {**SPAN_100, "EcAc": 0.0},
-         [{"type": "constant", "value": 100.0}], ["--force"], 1,
+         [{"type": "constant", "value": 100.0}], {}, ["--force"], 1,
          "error: the bridge data give no Melan problem: b must be positive"),
         ("solve-linear", {"M": 1e200, "N": 0.0, "L": 1.0},
-         [{"type": "constant", "value": 1.0}], [], 3,
+         [{"type": "constant", "value": 1.0}], {}, [], 3,
          "numerical failure: kernel profiles overflow"),
+        # a refused bridge (span-150) must not be forced by a truthy string
+        ("bridge-report", SPAN_150, [{"type": "constant", "value": 100.0}],
+         {"force": "false"}, [], 1,
+         "error: config field 'numerics.force': expected true or false, got 'false'"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
-         "overflowing-kernel"],
+         "overflowing-kernel", "string-force"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
-                                           flags, code, message):
-    cfg = write_config(tmp_path / "bad.json", {"problem": problem, "load": load})
+                                           numerics, flags, code, message):
+    cfg = write_config(tmp_path / "bad.json",
+                       {"problem": problem, "load": load, "numerics": numerics})
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the forced envelope refusal warns

@@ -4,6 +4,8 @@ The standard instance used throughout is a = b = c = 0.1, L = 2 with a
 constant load p = 0.1 and a sine bracket of amplitude pi/4.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -366,7 +368,10 @@ def test_one_run_prepares_the_linear_operator_once(monkeypatch):
     # kernel profiles and the sampled-load profile are built once per run,
     # not once per solve.
     import melan.linear
+    import melan.monotone
 
+    # The last bracket is kept for the next pair; start without one.
+    melan.monotone._bracket.cache_clear()
     calls = {"_row_integrals": 0, "simpson_weights": 0}
     for name in calls:
         original = getattr(melan.linear, name)
@@ -403,6 +408,20 @@ def test_array_records_compare_by_identity():
                           (run, run_monotone(pairs[1])), (run.lower, run.upper)):
         assert first != second
         assert first == first and second == second
+
+
+def test_diverging_forced_run_reports_the_divergence():
+    # rho = 3.55: the forced run's iterates grow until a sweep overflows; the
+    # error names the divergence, and numpy warns nothing on the way
+    problem = MelanProblem(a=0.0396182, b=0.343970, c=0.0118043, L=4.74655,
+                           load=LoadSpec((Constant(0.9),)))
+    pair = make_sine_pair(problem, 0.171734, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution,
+                           match=r"the (lower|upper) iterates diverge: sweep \d+ overflows "
+                                 r"\(previous integral -?\d"):
+            run_monotone(pair, max_iter=20, strict=False)
 
 
 def test_overflowing_sine_curvature_raises():
