@@ -35,8 +35,6 @@ from .monotone import MelanProblem, MonotoneVerdict, iterate_melan
 
 __all__ = ["main"]
 
-_MODES = ("solve-linear", "check", "iterate", "bridge-report")
-
 
 # ---------------------------------------------------------------------------
 # Config ingestion
@@ -46,17 +44,20 @@ def _fail(field: str, message: str) -> ConfigError:
     return ConfigError(f"config field '{field}': {message}")
 
 
+def _finite(value, field: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _fail(field, f"expected a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
+        raise _fail(field, f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _number(block: dict, field: str, path: str, required: bool = True) -> Optional[float]:
     if field not in block:
         if required:
             raise _fail(f"{path}.{field}", "missing required number")
         return None
-    value = block[field]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _fail(f"{path}.{field}", f"expected a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, infinities, ints beyond float range
-        raise _fail(f"{path}.{field}", f"expected a finite number, got {value!r}")
-    return float(value)
+    return _finite(block[field], f"{path}.{field}")
 
 
 def _integer(block: dict, field: str, path: str, default: int) -> int:
@@ -91,12 +92,9 @@ def _load_term(entry: dict, index: int):
         if not isinstance(values, list) or not values:
             raise _fail(f"{path}.values", "expected a non-empty list of numbers")
         try:
-            term = Sampled(values)
-        except (TypeError, ValueError) as exc:
+            return Sampled([_finite(v, f"{path}.values[{j}]") for j, v in enumerate(values)])
+        except ValueError as exc:
             raise _fail(f"{path}.values", str(exc)) from exc
-        if not np.all(np.isfinite(term.values)):
-            raise _fail(f"{path}.values", "expected finite numbers")
-        return term
     raise _fail(f"{path}.type", f"unknown load term type {tag!r}")
 
 
@@ -208,13 +206,15 @@ def _print_reports(reports: List[ConditionReport], stream) -> None:
 
 
 def _out_dir(config: dict, args) -> Path:
-    if args.out is not None:
-        out = Path(args.out)
-    else:
+    out = args.out
+    if out is None:
         block = config.get("output", {})
         if not isinstance(block, dict):
             raise _fail("output", "expected an object")
-        out = Path(block.get("dir", "."))
+        out = block.get("dir", ".")
+        if not isinstance(out, str):
+            raise _fail("output.dir", f"expected a path string, got {out!r}")
+    out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -416,6 +416,14 @@ def _run_bridge_report(config: dict, args) -> int:
 # Entry point
 
 
+_RUNNERS = {
+    "solve-linear": _run_solve_linear,
+    "check": _run_check,
+    "iterate": _run_iterate,
+    "bridge-report": _run_bridge_report,
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="melan",
@@ -423,7 +431,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "cable-coupled beam models (units: kN, m).",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in _MODES:
+    for mode in _RUNNERS:
         p = sub.add_parser(mode)
         p.add_argument("--config", required=True, help="JSON config path or bundled name")
         p.add_argument("--grid", type=int, default=None, help="override numerics.grid_points")
@@ -432,14 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="downgrade refusals to warnings")
         p.add_argument("--out", default=None, help="output directory (default: config or cwd)")
     return parser
-
-
-_RUNNERS = {
-    "solve-linear": _run_solve_linear,
-    "check": _run_check,
-    "iterate": _run_iterate,
-    "bridge-report": _run_bridge_report,
-}
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -131,9 +130,6 @@ class Sampled:
 
     def scaled(self, factor: float) -> "Sampled":
         return Sampled(self.values * factor)
-
-
-LoadTerm = Union[Constant, Affine, SineHalfWave, Cubic, SinhTerm, Sampled]
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -108,11 +108,12 @@ class BoundPair:
     """One problem's zero/sine bracket, as make_sine_pair builds it.
 
     alpha = 0 lies below and beta = lam*sin(pi*x/L) above, with the frozen
-    coefficients (M, N) that make the pair a bracket.  `p` is the problem's
-    load on the grid, sampled once for every sweep of a run, and `operator`
-    the linear operator for (M, N) on the grid.  Every array is read-only:
-    pairs with the same (a, b, c, L, lam, grid) share the grid, the bound
-    samples and the operator.
+    coefficients (M, N) that make the pair a bracket, the linear `operator`
+    for them on the grid, the bracket's conditions as MonotoneVerdict
+    reports them, and `model`, the model's left side at beta.  `p` is the
+    problem's load on the grid, sampled once for every sweep of a run.
+    Every array is read-only: pairs with the same (a, b, c, L, lam, grid)
+    share all but `problem` and `p`.
     """
 
     problem: MelanProblem
@@ -124,6 +125,10 @@ class BoundPair:
     lam: float
     p: np.ndarray
     operator: LinearOperator
+    positivity: ConditionReport
+    uniqueness: ConditionReport
+    rho: float
+    model: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,15 +234,16 @@ class SineShape:
         return 2.0 * self.amplitude * length / np.pi
 
 
-def _model(problem: MelanProblem, fourth, second, I: float) -> np.ndarray:
+def _model(a: float, b: float, c: float, fourth, second, I: float) -> np.ndarray:
     """y'''' - (a + b*I)*y'' + c*I from a shape's y'''', y'' and integral I."""
-    return fourth - (problem.a + problem.b * I) * second + problem.c * I
+    return fourth - (a + b * I) * second + c * I
 
 
 def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the model for a candidate shape on a grid."""
     L = problem.L
-    return _model(problem, shape.fourth(x, L), shape.second(x, L), shape.integral(L))
+    return _model(problem.a, problem.b, problem.c,
+                  shape.fourth(x, L), shape.second(x, L), shape.integral(L))
 
 
 def _verify_bound(name: str, sign: float, model: np.ndarray, p: np.ndarray) -> ConditionReport:
@@ -268,26 +274,40 @@ def verify_upper(shape, problem: MelanProblem, grid_points: int = 1001) -> Condi
 
 
 @functools.lru_cache(maxsize=1)
-def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: int):
-    """Everything of the zero/sine bracket that does not depend on the load.
+def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: int) -> BoundPair:
+    """The zero/sine bracket without its load: `problem` and `p` are None.
 
-    Returns (operator, zero, sine_y, sine_ypp, M, N): the linear operator for
-    the sine bound's (M, N) on the grid (its grid is the bracket's), the
-    zero samples and the sine's y and y'' samples, all read-only.  One slot:
-    consecutive brackets of one bridge and grid, one per live load, share
-    the arrays and the operator, and with it the operator's sampled-load
-    profile.  The arrays are pure functions of the key, so a hit and a miss
-    give the same bits.
+    One slot: consecutive brackets of one bridge and grid, one per live
+    load, share it, and with it the operator's sampled-load profile.  Every
+    field is a pure function of the key, so a hit and a miss give the same
+    bits.
     """
     sine_check = check_sine_conditions(a, b, c, L, lam)
-    operator = LinearOperator(sine_check.M, sine_check.N, float(L), grid_points)
+    M, N = sine_check.M, sine_check.N
+    operator = LinearOperator(M, N, float(L), grid_points)
     y = SineShape(lam).evaluate(operator.grid, L)
-    # SineShape.second, from the same samples.
+    # SineShape.second and .fourth, from the same samples.
     ypp = -((np.pi / L) ** 2) * y
+    I = SineShape(lam).integral(L)
+    model = _model(a, b, c, (np.pi / L) ** 4 * y, ypp, I)
     zero = np.zeros_like(y)
-    for samples in (zero, y, ypp):
+    for samples in (zero, y, ypp, model):
         samples.flags.writeable = False
-    return operator, zero, y, ypp, sine_check.M, sine_check.N
+    return BoundPair(
+        problem=None,
+        grid=operator.grid,
+        alpha=Iterate(y=zero, ypp=zero, integral=0.0),
+        beta=Iterate(y=y, ypp=ypp, integral=I),
+        M=M,
+        N=N,
+        lam=float(lam),
+        p=None,
+        operator=operator,
+        positivity=check_positivity(M, N, L),
+        uniqueness=check_uniqueness(a, b, c, M, N, L),
+        rho=contraction_rho(a, b, c, M, N, L),
+        model=model,
+    )
 
 
 def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -> BoundPair:
@@ -307,22 +327,10 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     L = problem.L
     if not np.isfinite(lam * (np.pi / L) ** 2):
         raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
-    operator, zero, y, ypp, M, N = _bracket(
-        problem.a, problem.b, problem.c, L, lam, grid_points
-    )
-    p = problem.load.evaluate(operator.grid, L)
+    bracket = _bracket(problem.a, problem.b, problem.c, L, lam, grid_points)
+    p = problem.load.evaluate(bracket.grid, L)
     p.flags.writeable = False
-    return BoundPair(
-        problem=problem,
-        grid=operator.grid,
-        alpha=Iterate(y=zero, ypp=zero, integral=0.0),
-        beta=Iterate(y=y, ypp=ypp, integral=SineShape(lam).integral(L)),
-        M=M,
-        N=N,
-        lam=float(lam),
-        p=p,
-        operator=operator,
-    )
+    return replace(bracket, problem=problem, p=p)
 
 
 def iterate_once(prev: Iterate, pair: BoundPair) -> Iterate:
@@ -371,25 +379,20 @@ def run_monotone(
             raise error(message)
         warnings.append(message)
 
-    positivity = check_positivity(pair.M, pair.N, problem.L)
-    if not positivity.satisfied:
-        refuse(NotApplicable, f"positivity condition fails: N = {positivity.lhs:.6g} > "
-               f"{positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
+    if not pair.positivity.satisfied:
+        refuse(NotApplicable, f"positivity condition fails: N = {pair.positivity.lhs:.6g} > "
+               f"{pair.positivity.rhs:.6g}; ordering of the sweeps is not guaranteed")
 
-    # ZeroShape's model is 0; the sine's is SineShape's, from the pair's samples.
-    beta = pair.beta
-    upper = _model(problem, (np.pi / problem.L) ** 4 * beta.y, beta.ypp, beta.integral)
+    # ZeroShape's model is 0.
     for rep in (_verify_bound("lower-solution", 1.0, 0.0, pair.p),
-                _verify_bound("upper-solution", -1.0, upper, pair.p)):
+                _verify_bound("upper-solution", -1.0, pair.model, pair.p)):
         if not rep.satisfied:
             refuse(InvalidPair, f"initial {rep.name} check fails by {rep.lhs:.6g} "
                    f"(tolerance {rep.rhs:.6g})")
 
-    uniqueness = check_uniqueness(problem.a, problem.b, problem.c, pair.M, pair.N, problem.L)
-    rho = contraction_rho(problem.a, problem.b, problem.c, pair.M, pair.N, problem.L)
-    if rho >= 1.0:
+    if pair.rho >= 1.0:
         warnings.append(
-            f"contraction factor rho = {rho:.6g} >= 1: no a-priori convergence rate"
+            f"contraction factor rho = {pair.rho:.6g} >= 1: no a-priori convergence rate"
         )
 
     tol_y = _slack(pair.beta.y)
@@ -401,7 +404,7 @@ def run_monotone(
 
     alphas = [pair.alpha]
     betas = [pair.beta]
-    gap_bounds = [_gap_bound(problem.L, rho, 0, gap0_pp)]
+    gap_bounds = [_gap_bound(problem.L, pair.rho, 0, gap0_pp)]
     violated = False
     # Per sweep, diffs[k] holds the y and y'' differences previous lower - new
     # lower (k = 0), new upper - previous upper (1) and new upper - new lower
@@ -442,7 +445,7 @@ def run_monotone(
 
                 alphas.append(new_alpha)
                 betas.append(new_beta)
-                gap_bounds.append(_gap_bound(problem.L, rho, n, gap0_pp))
+                gap_bounds.append(_gap_bound(problem.L, pair.rho, n, gap0_pp))
                 gaps.append(float(max(hi[2, 0], -lo[2, 0])))
         except FloatingPointError as exc:
             raise NonFiniteSolution(
@@ -472,11 +475,11 @@ def run_monotone(
         M=pair.M,
         N=pair.N,
         lam=pair.lam,
-        rho=float(rho),
+        rho=pair.rho,
         gaps=tuple(gaps),
         gap_bounds=tuple(gap_bounds),
-        positivity=positivity,
-        uniqueness=uniqueness,
+        positivity=pair.positivity,
+        uniqueness=pair.uniqueness,
         status=status,
         iterations=iterations,
         certified=status == "converged" and not warnings,

@@ -509,19 +509,22 @@ def test_each_memo_holds_one_read_only_entry():
     pair = make_sine_pair(MelanProblem(report.a, report.b, report.c, 100.0, LIVE_LOADS[0]),
                           report.lam, 101)
     for arr in (x, bound, sol.monotone.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
-                pair.beta.y, pair.beta.ypp):
+                pair.beta.y, pair.beta.ypp, pair.model, pair.p):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[1] = 1.0
 
 
 def test_a_second_load_on_a_bridge_rebuilds_nothing(monkeypatch):
-    # The bracket's operator, its sampled-load profile and the applicability
-    # report are built once per bridge and grid, not once per live load.
-    counts = {"LinearOperator": 0, "_SampledProfile": 0, "applicability": 0}
-    for module, name in ((melan.monotone, "LinearOperator"),
-                         (melan.linear, "_SampledProfile"),
-                         (melan.bridge, "applicability")):
+    # The bracket's operator, its sampled-load profile, its conditions, the
+    # sine's model samples and the applicability report are built once per
+    # bridge and grid, not once per live load.
+    sites = ((melan.monotone, "LinearOperator"), (melan.linear, "_SampledProfile"),
+             (melan.bridge, "applicability"), (melan.monotone, "check_positivity"),
+             (melan.monotone, "check_uniqueness"), (melan.monotone, "contraction_rho"),
+             (melan.monotone, "_model"))
+    counts = dict.fromkeys((name for _, name in sites), 0)
+    for module, name in sites:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -531,8 +534,8 @@ def test_a_second_load_on_a_bridge_rebuilds_nothing(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     clear_memos()
     solve_bridge(span_100(), LIVE_LOADS[0], grid_points=201)
-    assert counts == {"LinearOperator": 1, "_SampledProfile": 1, "applicability": 1}
+    assert counts == dict.fromkeys(counts, 1)
     solve_bridge(span_100(), LIVE_LOADS[1], grid_points=201)
-    assert counts == {"LinearOperator": 1, "_SampledProfile": 1, "applicability": 1}
+    assert counts == dict.fromkeys(counts, 1)
     solve_bridge(replace(span_100(), EI=2.0 * span_100().EI), LIVE_LOADS[1], grid_points=201)
-    assert counts == {"LinearOperator": 2, "_SampledProfile": 2, "applicability": 2}
+    assert counts == dict.fromkeys(counts, 2)

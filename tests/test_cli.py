@@ -366,8 +366,11 @@ SPAN_150 = {"L": 150.0, "EI": 4.557e8, "EcAc": 4121730.0, "Lc": 163.2, "n": 0.2,
             "H": 16542.0}
 
 
+LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
+
+
 @pytest.mark.parametrize(
-    "mode, problem, load, numerics, flags, code, message",
+    "mode, problem, load, blocks, flags, code, message",
     [
         ("iterate", {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.0, "lambda": -1.0},
          [{"type": "constant", "value": 0.1}], {}, [], 1,
@@ -382,20 +385,33 @@ SPAN_150 = {"L": 150.0, "EI": 4.557e8, "EcAc": 4121730.0, "Lc": 163.2, "n": 0.2,
          "numerical failure: kernel profiles overflow"),
         # a refused bridge (span-150) must not be forced by a truthy string
         ("bridge-report", SPAN_150, [{"type": "constant", "value": 100.0}],
-         {"force": "false"}, [], 1,
+         {"numerics": {"force": "false"}}, [], 1,
          "error: config field 'numerics.force': expected true or false, got 'false'"),
+        # sampled values follow the rule of every other number field
+        ("solve-linear", LINEAR, [{"type": "sampled", "values": [1.0, True, 3.0]}], {}, [], 1,
+         "error: config field 'load[0].values[1]': expected a number, got True"),
+        ("solve-linear", LINEAR, [{"type": "sampled", "values": [1.0, 2.0, "3"]}], {}, [], 1,
+         "error: config field 'load[0].values[2]': expected a number, got '3'"),
+        ("solve-linear", LINEAR, [{"type": "sampled", "values": [1.0, 10**400, 3.0]}], {}, [],
+         1, "error: config field 'load[0].values[1]': expected a finite number, got 1000"),
+        # without --out the directory comes from the config
+        ("solve-linear", LINEAR, [{"type": "constant", "value": 1.0}],
+         {"output": {"dir": 123}}, [], 1,
+         "error: config field 'output.dir': expected a path string, got 123"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
-         "overflowing-kernel", "string-force"],
+         "overflowing-kernel", "string-force", "boolean-sample", "string-sample",
+         "overflowing-integer-sample", "numeric-output-dir"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
-                                           numerics, flags, code, message):
-    cfg = write_config(tmp_path / "bad.json",
-                       {"problem": problem, "load": load, "numerics": numerics})
+                                           blocks, flags, code, message):
+    cfg = write_config(tmp_path / "bad.json", {"problem": problem, "load": load, **blocks})
     out = tmp_path / "out"
+    if "output" not in blocks:
+        flags = ["--out", str(out), *flags]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the forced envelope refusal warns
-        rc = main([mode, "--config", cfg, "--out", str(out), *flags])
+        rc = main([mode, "--config", cfg, *flags])
     assert rc == code
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())

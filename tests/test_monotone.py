@@ -23,7 +23,10 @@ from melan import (
     SineShape,
     ZeroShape,
     applicability,
+    check_positivity,
     check_sine_conditions,
+    check_uniqueness,
+    contraction_rho,
     error_bounds,
     fd_solve_nonlinear,
     iterate_melan,
@@ -115,7 +118,8 @@ def test_sine_pair_takes_its_coefficients_from_the_sine_conditions():
 def test_sine_pair_is_a_bracket_by_construction(a, b, c, L, lam_frac, grid_points):
     # alpha = 0 is nonnegative and flat, lies below beta with the reversed
     # curvature ordering, and (M, N) dominate a + b*integral(beta) and
-    # c + b*max(-beta''), up to the run's roundoff slack
+    # c + b*max(-beta''), up to the run's roundoff slack; the pair's
+    # conditions are those of its (M, N), bit for bit
     problem = MelanProblem(a=a, b=b, c=c, L=L, load=LoadSpec((Constant(0.0),)))
     pair = make_sine_pair(problem, lam_frac * L, grid_points)
     alpha, beta = pair.alpha, pair.beta
@@ -129,6 +133,10 @@ def test_sine_pair_is_a_bracket_by_construction(a, b, c, L, lam_frac, grid_point
     assert pair.M >= need_m - 1e-12 * max(1.0, need_m)
     need_n = c + b * max(float(np.max(-beta.ypp)), 0.0)
     assert pair.N >= need_n - 1e-12 * max(1.0, need_n)
+    M, N = pair.M, pair.N
+    assert pair.positivity == check_positivity(M, N, L)
+    assert pair.uniqueness == check_uniqueness(a, b, c, M, N, L)
+    assert pair.rho == contraction_rho(a, b, c, M, N, L)
 
 
 def test_downgraded_initial_check_leaves_the_run_uncertified():
@@ -398,13 +406,15 @@ def test_pair_operator_is_built_with_the_pair():
 
 def test_array_records_compare_by_identity():
     # Records holding arrays compare by identity, so == answers instead of
-    # raising on an array's ambiguous truth value.
+    # raising on an array's ambiguous truth value.  Pairs of one bracket
+    # share its Iterates, so the Iterate case takes two brackets.
     problem = standard_problem()
     pairs = [make_sine_pair(problem, LAM, 101) for _ in range(2)]
+    other = make_sine_pair(problem, 2.0 * LAM, 101)
     linear = LinearProblem(M=1.0, N=0.2, L=2.0, load=LoadSpec((Constant(1.0),)))
     solutions = [solve_linear(linear, grid_points=101) for _ in range(2)]
     run = run_monotone(pairs[0])
-    for first, second in (pairs, solutions, (pairs[0].beta, pairs[1].beta),
+    for first, second in (pairs, solutions, (pairs[0].beta, other.beta),
                           (run, run_monotone(pairs[1])), (run.lower, run.upper)):
         assert first != second
         assert first == first and second == second
