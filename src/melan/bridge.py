@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import functools
 import warnings as _warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .criteria import ConditionReport, _report, check_sine_conditions
-from .errors import ConfigError, EnvelopeViolation, MissingCableLength, NotApplicable
+from .errors import ConfigError, EnvelopeViolation, NotApplicable
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
 from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
@@ -42,6 +42,12 @@ _TYPICAL_N = (1.0 / 14.0, 1.0 / 5.0)
 _SAG_GATE = 1.0 / 15.32
 
 
+def _positive(name: str, value) -> float:
+    if not (value > 0.0 and np.isfinite(value)):
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BridgeParams:
     """Physical description of a suspension bridge main span (kN, m units).
@@ -50,7 +56,9 @@ class BridgeParams:
     ratio `n` (via q/H = 8n/L) or by `H` and `q` directly; when both
     routes are given they must agree to 1e-6 relative.  The cable length
     `Lc` may be omitted, in which case it is derived from the parabolic
-    cable shape.
+    cable shape.  Every quantity but EcAc (which may be 0) must be positive
+    and finite, given or derived: construction resolves q/H, H, q, n and
+    Lc once, into `_resolved`, or raises ConfigError.
     """
 
     L: float
@@ -60,45 +68,40 @@ class BridgeParams:
     H: Optional[float] = None
     q: Optional[float] = None
     Lc: Optional[float] = None
+    _resolved: _Resolved = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        def _need(name, value, *, positive):
-            if value is None:
-                return
-            ok = np.isfinite(value) and (value > 0.0 if positive else value >= 0.0)
-            if not ok:
-                kind = "positive" if positive else "nonnegative"
-                raise ConfigError(f"{name} must be {kind} and finite, got {value}")
+        for name in ("L", "EI", "n", "H", "q", "Lc"):
+            if getattr(self, name) is not None:
+                _positive(name, getattr(self, name))
+        if not (self.EcAc >= 0.0 and np.isfinite(self.EcAc)):
+            raise ConfigError(f"EcAc must be nonnegative and finite, got {self.EcAc}")
 
-        _need("L", self.L, positive=True)
-        _need("EI", self.EI, positive=True)
-        _need("EcAc", self.EcAc, positive=False)
-        _need("n", self.n, positive=True)
-        _need("H", self.H, positive=False)
-        _need("q", self.q, positive=False)
-        _need("Lc", self.Lc, positive=True)
-
-        has_ratio = self.n is not None
-        has_direct = self.H is not None and self.q is not None and self.H > 0.0
-        if not has_ratio and not has_direct:
-            raise ConfigError(
-                "dead-load ratio underdetermined: give n, or both H > 0 and q"
-            )
-        if has_ratio and has_direct:
-            from_n = 8.0 * self.n / self.L
-            from_hq = self.q / self.H
-            if abs(from_n - from_hq) > 1e-6 * from_hq:
+        has_direct = self.H is not None and self.q is not None
+        if self.n is not None:
+            qh = 8.0 * self.n / self.L
+            if has_direct and abs(qh - self.q / self.H) > 1e-6 * (self.q / self.H):
                 raise ConfigError(
-                    f"inconsistent dead-load data: 8n/L = {from_n:.9g} but "
-                    f"q/H = {from_hq:.9g}"
+                    f"inconsistent dead-load data: 8n/L = {qh:.9g} but "
+                    f"q/H = {self.q / self.H:.9g}"
                 )
-        if self.H is None and (self.q is None or self.q == 0.0):
-            raise ConfigError("horizontal tension underdetermined: give H, or q > 0 with n")
+        elif has_direct:
+            qh = self.q / self.H
+        else:
+            raise ConfigError("dead-load ratio underdetermined: give n, or both H and q")
+        if self.H is None and self.q is None:
+            raise ConfigError("horizontal tension underdetermined: give H, or q with n")
 
-        n_eff = self.n if self.n is not None else (self.q / self.H) * self.L / 8.0
-        if not (_TYPICAL_N[0] <= n_eff <= _TYPICAL_N[1]):
+        qh = _positive("q/H", qh)
+        H = _positive("H", self.H if self.H is not None else self.q / qh)
+        q = _positive("q", self.q if self.q is not None else H * qh)
+        n = _positive("n", self.n if self.n is not None else qh * self.L / 8.0)
+        Lc = _positive("Lc", self.Lc if self.Lc is not None else cable_length(self.L, qh))
+        object.__setattr__(self, "_resolved", _Resolved(qh=qh, H=H, q=q, n=n, Lc=Lc))
+
+        if not (_TYPICAL_N[0] <= n <= _TYPICAL_N[1]):
             _warnings.warn(
-                f"sag-span ratio n = {n_eff:.6g} is outside the typical range "
+                f"sag-span ratio n = {n:.6g} is outside the typical range "
                 f"[1/14, 1/5]",
                 stacklevel=2,
             )
@@ -130,39 +133,26 @@ def cable_length(L: float, qh: float) -> float:
     return 0.5 * L * np.sqrt(1.0 + half_slope**2) + np.arcsinh(half_slope) / qh
 
 
-def _resolve(bp: BridgeParams) -> _Resolved:
-    if bp.n is not None:
-        qh = 8.0 * bp.n / bp.L
-    else:
-        qh = bp.q / bp.H
-    H = bp.H if bp.H is not None else bp.q / qh
-    q = bp.q if bp.q is not None else H * qh
-    n = bp.n if bp.n is not None else qh * bp.L / 8.0
-    if bp.Lc is not None:
-        Lc = bp.Lc
-    elif qh > 0.0:
-        Lc = cable_length(bp.L, qh)
-    else:
-        raise MissingCableLength(
-            "cable length cannot be derived without a positive dead-load ratio"
-        )
-    return _Resolved(qh=float(qh), H=float(H), q=float(q), n=float(n), Lc=float(Lc))
-
-
 def derive_coefficients(bp: BridgeParams) -> Tuple[float, float, float]:
     """Map physical parameters to the (a, b, c) of the nonlinear model.
 
     a = H/EI, b = (q/H)*(EcAc/EI)/Lc and c = (q/H)*b, with q/H = 8n/L when
     the sag-span ratio is given.  Raises ConfigError when a coefficient
-    overflows (an EI too small for the other data).
+    overflows (an EI too small for the other data) or is not positive (no
+    cable coupling, EcAc = 0, or an underflow).
     """
-    r = _resolve(bp)
+    r = bp._resolved
     a = r.H / bp.EI
     b = r.qh * (bp.EcAc / bp.EI) / r.Lc
     c = r.qh * b
     for name, value in (("a", a), ("b", b), ("c", c)):
         if not np.isfinite(value):
             raise ConfigError(f"model coefficient {name} = {value} overflows (EI = {bp.EI:.6g})")
+        if not value > 0.0:
+            raise ConfigError(
+                f"the bridge data give no Melan problem: {name} must be positive and "
+                f"finite, got {value}"
+            )
     return float(a), float(b), float(c)
 
 
@@ -175,7 +165,7 @@ def load_envelope(bp: BridgeParams) -> Tuple[float, float]:
         A = pi**4*EI/(100*L**3) + H*pi**2/(100*L) + (n*pi/625)*EcAc/Lc,
         B = (32*n**2/(25*pi))*EcAc/Lc.
     """
-    r = _resolve(bp)
+    r = bp._resolved
     L = bp.L
     A = (
         np.pi**4 * bp.EI / (100.0 * L**3)
@@ -242,13 +232,13 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     N < 80/L**5; the necessary conditions state that bound through b and
     through c.
     """
-    r = _resolve(bp)
+    r = bp._resolved
     a, b, c = derive_coefficients(bp)
     L = bp.L
     lam = L / 100.0
 
     sine = check_sine_conditions(a, b, c, L, lam)
-    positivity = sine.reports[0]
+    positivity = sine.positivity
 
     coeff = 800.0 * r.n + np.pi**2
     necessary_b = _report("necessary-b", coeff * b / 100.0, 80.0 / L**4)
@@ -382,10 +372,7 @@ def solve_bridge(
         )
 
     load = live_load.scaled(1.0 / bp.EI)
-    try:
-        problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
-    except ValueError as exc:
-        raise ConfigError(f"the bridge data give no Melan problem: {exc}") from exc
+    problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
     pair = make_sine_pair(problem, report.lam, grid_points)
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
     if outside is not None:

@@ -147,8 +147,8 @@ def _resolve_config_path(name: str) -> str:
 
 def _read_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         config = json.loads(text)
@@ -215,7 +215,10 @@ def _out_dir(config: dict, args) -> Path:
         if not isinstance(out, str):
             raise _fail("output.dir", f"expected a path string, got {out!r}")
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 

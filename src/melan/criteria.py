@@ -8,7 +8,6 @@ configuration sits to the boundary instead of a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -140,31 +139,26 @@ def contraction_rho(a: float, b: float, c: float, M: float, N: float, L: float) 
 
 @dataclass(frozen=True)
 class SineCheck:
-    """The sine bracket's linearization coefficients and its condition reports."""
+    """The sine bracket's linearization coefficients and its positivity report."""
 
     M: float
     N: float
-    reports: List[ConditionReport]
+    positivity: ConditionReport
 
 
 def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) -> SineCheck:
-    """Check the conditions under which lam*sin(pi*x/L) brackets the solution.
+    """Check the condition under which lam*sin(pi*x/L) brackets the solution.
 
     The induced linearization coefficients are M = a + 2*b*lam*L/pi and
     N = c + b*lam*pi**2/L**2 (the sine's own integral and curvature); this
-    is the one place they are computed.  Reported conditions: positivity of
-    the linear solution operator, and the sine form of the uniqueness
-    bound, lam*(L**3/4)*b*(2/pi + pi**2/4) <= 1.
+    is the one place they are computed.  The reported condition is the
+    positivity of the linear solution operator; uniqueness within the
+    bracket is check_uniqueness at these (M, N).
 
-    lam = 0 is the degenerate flat bracket: M = a, N = c and the
-    uniqueness bound holds trivially.
+    lam = 0 is the degenerate flat bracket: M = a, N = c.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     M = a + 2.0 * b * lam * L / np.pi
     N = c + b * lam * np.pi**2 / L**2
-    reports = [
-        check_positivity(M, N, L),
-        _report("uniqueness", lam * (L**3 / 4.0) * b * (2.0 / np.pi + np.pi**2 / 4.0), 1.0),
-    ]
-    return SineCheck(M=float(M), N=float(N), reports=reports)
+    return SineCheck(M=float(M), N=float(N), positivity=check_positivity(M, N, L))

@@ -16,7 +16,6 @@ __all__ = [
     "MonotonicityViolation",
     "NotConverged",
     "BoundUnavailable",
-    "MissingCableLength",
     "EnvelopeViolation",
     "NotApplicable",
     "SingularSystem",
@@ -71,10 +70,6 @@ class NotConverged(MelanError):
 
 class BoundUnavailable(MelanError):
     """A requested error bound requires a contraction factor rho < 1 that does not hold."""
-
-
-class MissingCableLength(MelanError):
-    """Physical parameters omit the cable length and no sag ratio is available to derive it."""
 
 
 class EnvelopeViolation(MelanError):

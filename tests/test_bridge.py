@@ -7,6 +7,7 @@ Three reference configurations are used throughout (all quantities kN, m):
 * span-460: L=460, EI=5.7e7,   EcAc=3.6e7,   Lc=472,   n=0.1,   H=97750
 """
 
+import itertools
 import warnings
 from dataclasses import replace
 
@@ -35,12 +36,7 @@ from melan import (
     solve_linear,
     verify_upper,
 )
-from melan.errors import (
-    ConfigError,
-    EnvelopeViolation,
-    MissingCableLength,
-    NotApplicable,
-)
+from melan.errors import ConfigError, EnvelopeViolation, NotApplicable
 from melan.monotone import _apply_model
 from melan.quadrature import integrate, uniform_grid
 
@@ -419,12 +415,59 @@ def test_forced_load_just_outside_the_envelope_is_uncertified():
 
 
 def test_missing_cable_length_detected():
-    # q = 0 gives a flat cable: no length can be derived, and the sag
-    # ratio n = 0 also draws the out-of-range warning
-    with pytest.warns(UserWarning, match="sag-span"):
-        bp = BridgeParams(L=100.0, EI=1e8, EcAc=1e7, H=1000.0, q=0.0)
-    with pytest.raises(MissingCableLength):
-        derive_coefficients(bp)
+    # q = 0 gives a flat cable, from which no length can be derived: the
+    # bridge is refused where it is built
+    with pytest.raises(ConfigError, match="q must be positive"):
+        BridgeParams(L=100.0, EI=1e8, EcAc=1e7, H=1000.0, q=0.0)
+
+
+SPAN_100_DEAD_LOAD = {"n": 1.0 / 9.0, "H": 19850.4, "q": 19850.4 * 8.0 / 900.0, "Lc": 103.2}
+
+
+@pytest.mark.parametrize("EcAc", [0.0, 4121700.0])
+def test_every_dead_load_combination_is_resolved_or_refused(EcAc):
+    # n, H, q and Lc each absent, zero or span-100's value: a bridge is
+    # refused with ConfigError, or gives a Melan problem with a, b, c > 0
+    outcomes = set()
+    for values in itertools.product(*[(None, 0.0, v) for v in SPAN_100_DEAD_LOAD.values()]):
+        given = {k: v for k, v in zip(SPAN_100_DEAD_LOAD, values) if v is not None}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                report = applicability(BridgeParams(L=100.0, EI=4.557e8, EcAc=EcAc, **given))
+            except ConfigError:
+                outcomes.add("refused")
+                continue
+        assert min(report.a, report.b, report.c) > 0.0, given
+        outcomes.add("resolved")
+    assert outcomes == ({"refused", "resolved"} if EcAc else {"refused"})
+
+
+def test_dead_load_is_resolved_once_per_bridge(monkeypatch):
+    # a bridge without Lc derives its cable length when it is built, and
+    # its report reads the resolved values instead of deriving them again
+    calls = []
+    original = melan.bridge.cable_length
+
+    def counted(L, qh):
+        calls.append((L, qh))
+        return original(L, qh)
+
+    monkeypatch.setattr(melan.bridge, "cable_length", counted)
+    bp = BridgeParams(L=100.0, EI=4.557e8, EcAc=4121700.0, n=1.0 / 9.0, H=19850.4)
+    assert len(calls) == 1
+    report = applicability(bp)
+    assert len(calls) == 1
+    assert report.Lc == original(100.0, 8.0 / 900.0)
+
+
+def test_resolved_dead_load_is_outside_equality_and_repr():
+    bp = span_100()
+    same = BridgeParams(**{k: getattr(bp, k) for k in ("L", "EI", "EcAc", "n", "H", "q", "Lc")})
+    assert bp == same and hash(bp) == hash(same)
+    assert "_resolved" not in repr(bp)
+    other = replace(bp, Lc=None)
+    assert other._resolved.H == bp._resolved.H and other._resolved.Lc != bp._resolved.Lc
 
 
 def test_underdetermined_parameters_rejected():

@@ -283,6 +283,28 @@ def test_malformed_json_exits_one(tmp_path):
     assert main(["solve-linear", "--config", str(bad)]) == 1
 
 
+def test_non_utf8_config_exits_one(tmp_path, capsys):
+    bad = tmp_path / "bin.json"
+    bad.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(0x80, 0xC0)))
+    assert main(["solve-linear", "--config", str(bad)]) == 1
+    assert f"error: cannot read config {bad}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("route", ["flag", "config"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_output_path_through_a_file_exits_one(tmp_path, capsys, route, below):
+    # an existing file cannot be the output directory, nor contain one
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "sub" if below else blocker
+    blocks = {"output": {"dir": str(out)}} if route == "config" else {}
+    flags = ["--out", str(out)] if route == "flag" else []
+    cfg = write_config(tmp_path / "cfg.json", {"problem": LINEAR, "load": [], **blocks})
+    assert main(["solve-linear", "--config", cfg, *flags]) == 1
+    assert f"error: cannot create output directory {out}" in capsys.readouterr().err
+    assert blocker.read_text() == "keep"
+
+
 def test_mode_mismatch_exits_one(tmp_path):
     # bundled configs declare their mode; invoking another one is an error
     assert main(["iterate", "--config", "example_2_1",
@@ -366,6 +388,9 @@ SPAN_150 = {"L": 150.0, "EI": 4.557e8, "EcAc": 4121730.0, "Lc": 163.2, "n": 0.2,
             "H": 16542.0}
 
 
+SPAN_100_BEAM = {"L": 100.0, "EI": 4.557e8, "EcAc": 4121700.0}
+
+
 LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
 
 
@@ -380,6 +405,14 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
         ("bridge-report", {**SPAN_100, "EcAc": 0.0},
          [{"type": "constant", "value": 100.0}], {}, ["--force"], 1,
          "error: the bridge data give no Melan problem: b must be positive"),
+        # zero tension or a flat cable is refused where the bridge is built
+        ("check", {**SPAN_100_BEAM, "n": 0.11, "H": 0.0, "q": 10.0}, [], {}, [], 1,
+         "error: H must be positive and finite, got 0.0"),
+        ("check", {**SPAN_100_BEAM, "H": 19850.4, "q": 0.0, "Lc": 103.2}, [], {}, [], 1,
+         "error: q must be positive and finite, got 0.0"),
+        ("bridge-report", {**SPAN_100_BEAM, "H": 19850.4, "q": 0.0},
+         [{"type": "constant", "value": 100.0}], {}, [], 1,
+         "error: q must be positive and finite, got 0.0"),
         ("solve-linear", {"M": 1e200, "N": 0.0, "L": 1.0},
          [{"type": "constant", "value": 1.0}], {}, [], 3,
          "numerical failure: kernel profiles overflow"),
@@ -400,7 +433,7 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
          "error: config field 'output.dir': expected a path string, got 123"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
-         "overflowing-kernel", "string-force", "boolean-sample", "string-sample",
+         "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel", "string-force", "boolean-sample", "string-sample",
          "overflowing-integer-sample", "numeric-output-dir"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,

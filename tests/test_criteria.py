@@ -183,9 +183,8 @@ def test_sine_conditions_standard_instance():
     sc = check_sine_conditions(0.1, 0.1, 0.1, 2.0, np.pi / 4.0)
     assert sc.M == pytest.approx(0.2, rel=1e-14)
     assert sc.N == pytest.approx(SINE_N, rel=1e-14)
-    assert all(r.satisfied for r in sc.reports)
-    names = {r.name for r in sc.reports}
-    assert "positivity" in names and "uniqueness" in names
+    assert sc.positivity.satisfied
+    assert sc.positivity.name == "positivity"
 
 
 def test_sine_frozen_coefficients_formulas():

@@ -13,13 +13,14 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["melan"] + [f"melan.{m.name}" for m in pkgutil.iter_modules(melan.__path__)]
 
 # sorted(melan.__all__): the names the package exported before its list was
-# built from the module lists, less SolutionMeta (GridSolution.regime now).
+# built from the module lists, less SolutionMeta (GridSolution.regime now)
+# and MissingCableLength (a bridge without a cable length is refused when built).
 SURFACE = [
     "Affine", "ApplicabilityReport", "BoundPair", "BoundUnavailable", "BridgeParams",
     "BridgeSolution", "ConditionReport", "ConfigError", "Constant", "Cubic",
     "EnvelopeViolation", "FdConfig", "GridSolution", "InvalidPair", "Iterate",
     "IterationTrace", "KernelParams", "LinearOperator", "LinearProblem", "LoadSpec",
-    "MelanError", "MelanProblem", "MissingCableLength", "MonotoneVerdict",
+    "MelanError", "MelanProblem", "MonotoneVerdict",
     "MonotonicityViolation", "NewtonDiverged", "NonFiniteSolution", "NotApplicable",
     "NotContractive", "NotConverged", "Sampled", "SineCheck", "SineHalfWave", "SineShape",
     "SingularResonance", "SingularSystem", "SinhTerm", "ZeroShape", "__version__",
