@@ -123,14 +123,18 @@ def cable_length(L: float, qh: float) -> float:
 
     The cable shape has slope qh*(L/2 - x); the arc length integrates to
     (L/2)*sqrt(1 + (L**2/4)*qh**2) + asinh((L/2)*qh)/qh, which tends to L
-    as qh -> 0 (flat cable).
+    as qh -> 0 (flat cable).  Raises ConfigError when the length overflows.
     """
     if not (L > 0.0 and np.isfinite(L)):
         raise ValueError(f"L must be positive and finite, got {L}")
     if not (qh > 0.0 and np.isfinite(qh)):
         raise ValueError(f"qh must be positive and finite, got {qh}")
     half_slope = 0.5 * L * qh
-    return 0.5 * L * np.sqrt(1.0 + half_slope**2) + np.arcsinh(half_slope) / qh
+    try:
+        with np.errstate(over="raise"):
+            return 0.5 * L * np.sqrt(1.0 + half_slope**2) + np.arcsinh(half_slope) / qh
+    except (OverflowError, FloatingPointError) as exc:
+        raise ConfigError(f"the cable length overflows (L = {L:.6g}, q/H = {qh:.6g})") from exc
 
 
 def derive_coefficients(bp: BridgeParams) -> Tuple[float, float, float]:
@@ -157,7 +161,7 @@ def derive_coefficients(bp: BridgeParams) -> Tuple[float, float, float]:
 
 
 def load_envelope(bp: BridgeParams) -> Tuple[float, float]:
-    """Admissible live-load envelope (A, B) in kN/m.
+    """Admissible live-load envelope (A, B) in kN/m; ConfigError if it overflows.
 
     A live load satisfying 0 <= p(x) <= A*sin(pi*x/L) + B is dominated by
     the standard sine upper bound of amplitude L/100, with
@@ -167,12 +171,17 @@ def load_envelope(bp: BridgeParams) -> Tuple[float, float]:
     """
     r = bp._resolved
     L = bp.L
-    A = (
-        np.pi**4 * bp.EI / (100.0 * L**3)
-        + r.H * np.pi**2 / (100.0 * L)
-        + (r.n * np.pi / 625.0) * bp.EcAc / r.Lc
-    )
-    B = (32.0 * r.n**2 / (25.0 * np.pi)) * bp.EcAc / r.Lc
+    try:
+        A = (
+            np.pi**4 * bp.EI / (100.0 * L**3)
+            + r.H * np.pi**2 / (100.0 * L)
+            + (r.n * np.pi / 625.0) * bp.EcAc / r.Lc
+        )
+        B = (32.0 * r.n**2 / (25.0 * np.pi)) * bp.EcAc / r.Lc
+    except OverflowError:  # from r.n**2; float products overflow to inf
+        A = B = np.inf
+    if not (np.isfinite(A) and np.isfinite(B)):
+        raise ConfigError(f"the live-load envelope overflows (n = {r.n:.6g}, EI = {bp.EI:.6g})")
     return float(A), float(B)
 
 

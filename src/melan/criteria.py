@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "ConditionReport",
     "SineCheck",
@@ -155,10 +157,15 @@ def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) ->
     positivity of the linear solution operator; uniqueness within the
     bracket is check_uniqueness at these (M, N).
 
-    lam = 0 is the degenerate flat bracket: M = a, N = c.
+    lam = 0 is the degenerate flat bracket: M = a, N = c.  An overflowing
+    M or N raises ConfigError.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
     M = a + 2.0 * b * lam * L / np.pi
     N = c + b * lam * np.pi**2 / L**2
+    for name, value in (("M", M), ("N", N)):
+        if not np.isfinite(value):
+            raise ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
+                              f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
     return SineCheck(M=float(M), N=float(N), positivity=check_positivity(M, N, L))

@@ -11,9 +11,10 @@ the plain beam operator is p - N*I, so
     y = (B - A)/M - N*I*psi,      I = Lambda / (1 + N*zeta),
 
 with A and B the convolutions of the load against the two second-order
-kernels, Lambda the integral of (B - A)/M, and psi/zeta the kernel row and
-double integrals.  Analytic load shapes have A, B and their integrals in
-closed form; sampled loads use Simpson sums against both kernels, evaluated
+kernels, Lambda the load moment (the integral of p*psi, as g is symmetric),
+and psi/zeta the kernel row and double integrals.  Analytic load shapes
+have A, B and Lambda in closed form; sampled loads use Simpson sums over
+their own nodes: of p*psi for Lambda, and against both kernels for A and B,
 in O(n) time and memory from the kernels' semiseparable structure: per
 direction one complex prefix sum (gm + 1j*g0) over coefficients that fold
 in every per-node factor once per LinearOperator.
@@ -39,7 +40,7 @@ from .kernel import (
     _gap_to_tanh,
     _row_integrals,
     gm_row_integral,
-    psi,  # noqa: F401  unused here, but perfbench/tracer.py wraps melan.linear.psi
+    psi,
     sinh_frac,
     zeta,
 )
@@ -167,14 +168,15 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
 
 
 class _SampledProfile:
-    """Simpson sums of `ns` uniform samples against both kernels, at positions x.
+    """Simpson sums of `ns` uniform samples against both kernels and psi.
 
     A(x) = sum_j gm(x, s_j)*w_j*p_j and B(x) likewise with g0, for samples
     p_j on their own uniform grid s_j and any positions x in [0, L].  Both
     kernels are semiseparable, g0(x, s) = min*(L - max)/L and
     gm(x, s) = K*exp(-mu*|x - s|)*P(min)*Q(max) with P(t) = -expm1(-2 mu t),
     Q(t) = P(L - t), K = 1/(2 mu P(L)), so each sum splits at x into running
-    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory.
+    sums over s_j <= x and s_j > x: O(len(x) + ns) time and memory.  The
+    load moment sum_j w_j*psi(s_j)*p_j needs no split.
 
     Every per-node factor depends only on (M, L, ns, x) and is folded here,
     once.  Per direction: one complex coefficient P*w*scale + 1j*t*w (w the
@@ -183,12 +185,14 @@ class _SampledProfile:
     output factor: A's is P(L - x)*exp(-mu*(x - s[lo])), resp. P(x)*exp(-mu*(s[hi] - x)),
     over 2*mu*P(L) and the last summed sample's scale; B's is (L - x)/L, resp. x/L.
     `convolve` is one product and one cumsum per block per direction, then
-    one multiply-add.  With `on_grid`, x is the samples' own grid: it shares
-    their nodes and weights, and the split at x is a slice.
+    one multiply-add.  With `grid_psi` (a LinearOperator's psi), x is the
+    samples' own grid: it shares their nodes, weights and psi, and the
+    split at x is a slice.
     """
 
-    def __init__(self, params: KernelParams, ns: int, x: np.ndarray, on_grid: bool = False):
+    def __init__(self, params: KernelParams, ns: int, x: np.ndarray, grid_psi=None):
         L, mu = params.L, params.mu
+        on_grid = grid_psi is not None
         s = x if on_grid else uniform_grid(L, ns)
 
         def P(t):
@@ -214,11 +218,10 @@ class _SampledProfile:
         self.bwd_out = _pairs(right, x / L)
         # Both running sums are read at row lo + 1 (samples j <= lo, resp. j > lo).
         self.at = slice(1, None) if on_grid else lo + 1
-        self.ns = ns
-        self.wx = ws if on_grid else simpson_weights(x.size, L / (x.size - 1))
+        self.wpsi = ws * (grid_psi if on_grid else psi(s, params))
 
     def convolve(self, values: np.ndarray):
-        """(A, B, intA, intB) for the samples `values`; the integrals are Simpson over x.
+        """(A, B, Lambda) for the samples `values`; Lambda is Simpson of p*psi.
 
         Raises NonFiniteSolution on NaN or infinite samples before any
         arithmetic, so numpy warns nothing (inf times the kernels' zero ends).
@@ -229,19 +232,17 @@ class _SampledProfile:
         bwd = _running_sums(values, self.bwd_coef, self.bwd_blocks, reverse=True)
         AB = fwd[self.at] * self.fwd_out
         AB += bwd[self.at] * self.bwd_out
-        # Contiguous A and B: a dot over a strided column sums in another
-        # order, and the difference intB - intA would amplify that.
-        A, B = AB.T.copy()
-        return A, B, float(self.wx @ A), float(self.wx @ B)
+        A, B = AB.T
+        return A, B, float(self.wpsi @ values)
 
 
 def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
     """Convolutions of one load term with the two second-order kernels.
 
-    Returns (A, B, intA, intB): A(x) solves -A'' + M*A = p with zero ends,
-    B(x) solves -B'' = p with zero ends, and intA/intB are their integrals
-    over the span.  Analytic terms are closed forms; Sampled terms are Simpson
-    sums over the samples (O(n), see _SampledProfile) and then over x.
+    Returns (A, B, Lambda): A(x) solves -A'' + M*A = p with zero ends,
+    B(x) solves -B'' = p with zero ends, and Lambda is the load moment.
+    Analytic terms are closed forms (Lambda from the integrals of A and B);
+    Sampled terms are Simpson sums over the samples (O(n), see _SampledProfile).
     A LinearOperator whose grid is x supplies its gm_row_integral(x) and
     its _SampledProfile for ns samples; without one, both are built here.
     """
@@ -259,7 +260,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         B = v * x * (L - x) / 2.0
         intA = v * _gap_to_tanh(muL) / (M * mu)
         intB = v * L**3 / 12.0
-        return A, B, intA, intB
+        return A, B, (intB - intA) / M
 
     if isinstance(term, Affine):
         c0, c1 = term.c0, term.c1
@@ -269,7 +270,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         B = c0 * x * (L - x) / 2.0 + c1 * x * (L**2 - x**2) / 6.0
         intA = (c0 + c1 * L / 2.0) * _gap_to_tanh(muL) / (M * mu)
         intB = c0 * L**3 / 12.0 + c1 * L**4 / 24.0
-        return A, B, intA, intB
+        return A, B, (intB - intA) / M
 
     if isinstance(term, SineHalfWave):
         amp = term.amplitude
@@ -278,7 +279,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         B = amp * (L / np.pi) ** 2 * shape
         intA = amp * (2.0 * L / np.pi) / (M + np.pi**2 / L**2)
         intB = 2.0 * amp * L**3 / np.pi**3
-        return A, B, intA, intB
+        return A, B, (intB - intA) / M
 
     if isinstance(term, Cubic):
         c3 = term.c3
@@ -289,7 +290,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         int_q = c3 * (L**4 / (4.0 * M) + 3.0 * L**2 / M**2)
         intA = int_q - qL * np.tanh(0.5 * muL) / mu
         intB = c3 * L**6 / 60.0
-        return A, B, intA, intB
+        return A, B, (intB - intA) / M
 
     if isinstance(term, SinhTerm):
         coef, r = term.coef, term.rate
@@ -315,7 +316,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
             raise NonFiniteSolution(
                 f"sinh load term (rate {r:.6g}) overflows over the span {L:.6g}"
             )
-        return A, B, intA, intB
+        return A, B, (intB - intA) / M
 
     raise TypeError(f"unsupported load term {type(term).__name__}")
 
@@ -323,18 +324,16 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
 def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None):
     """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the positions x.
 
-    Lambda is the double integral of the full solution kernel against the
-    load, i.e. the integral over the span of (B_tot - A_tot)/M.  Every term
+    Lambda, the load moment, is the sum of the terms' moments.  Every term
     returns fresh arrays, so the first term's arrays start the sums in place.
     """
     first, *rest = load.terms
-    A_tot, B_tot, intA, intB = _convolve_term(first, x, params, operator)
-    lam = (intB - intA) / params.M
+    A_tot, B_tot, lam = _convolve_term(first, x, params, operator)
     for term in rest:
-        A, B, intA, intB = _convolve_term(term, x, params, operator)
+        A, B, lam_term = _convolve_term(term, x, params, operator)
         A_tot += A
         B_tot += B
-        lam += (intB - intA) / params.M
+        lam += lam_term
     return A_tot, B_tot, lam
 
 
@@ -389,7 +388,7 @@ class LinearOperator:
         if ns != self.grid_points:
             return _SampledProfile(self.params, ns, self.grid)
         if self._profile is None:
-            self._profile = _SampledProfile(self.params, ns, self.grid, on_grid=True)
+            self._profile = _SampledProfile(self.params, ns, self.grid, self.psi)
         return self._profile
 
     def assemble(self, load: LoadSpec):
@@ -444,16 +443,16 @@ def gp_convolution(x, problem: LinearProblem):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
-def load_moment_g(problem: LinearProblem, grid_points: int = 1001) -> float:
+def load_moment_g(problem: LinearProblem) -> float:
     """Double integral of the solution kernel against the load (Lambda).
 
-    Equals the integral over the span of gp_convolution; for a unit
-    constant load it reduces to zeta(M, L).  `grid_points` only matters
-    when Sampled terms force quadrature.  Raises NonFiniteSolution when the
-    result is NaN or infinite.
+    Equals the integral over the span of gp_convolution, and of load*psi;
+    for a unit constant load it reduces to zeta(M, L).  No grid enters, so
+    the convolutions are taken at the span's ends only.  Raises
+    NonFiniteSolution when the result is NaN or infinite.
     """
-    x = uniform_grid(problem.L, grid_points)
-    _, _, lam = _assemble(problem.load, x, KernelParams(problem.M, problem.L))
+    ends = np.array([0.0, problem.L])
+    _, _, lam = _assemble(problem.load, ends, KernelParams(problem.M, problem.L))
     if not math.isfinite(lam):
         raise NonFiniteSolution(f"load moment is not finite ({lam:.6g})")
     return float(lam)

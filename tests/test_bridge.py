@@ -421,6 +421,24 @@ def test_missing_cable_length_detected():
         BridgeParams(L=100.0, EI=1e8, EcAc=1e7, H=1000.0, q=0.0)
 
 
+def test_overflowing_dead_load_data_are_refused():
+    # A sag ratio near 1e300 overflows the derived cable length and, with
+    # Lc given, the live-load envelope; a huge span overflows the length in
+    # numpy arithmetic, a huge EI on a short span the envelope in float
+    # products.  Each is a ConfigError, and numpy warns nothing.
+    big_n = dict(L=100.0, EI=4.557e8, EcAc=4121700.0, n=1e300, H=19850.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        warnings.simplefilter("ignore", UserWarning)  # the atypical sag ratio
+        for data in (big_n, dict(L=1e300, EI=1.0, EcAc=1.0, n=1e10, H=1.0)):
+            with pytest.raises(ConfigError, match="cable length overflows"):
+                BridgeParams(**data)
+        for bp in (BridgeParams(**big_n, Lc=103.2),
+                   BridgeParams(L=0.1, EI=1e307, EcAc=1e7, n=0.1, H=1.0)):
+            with pytest.raises(ConfigError, match="envelope overflows"):
+                load_envelope(bp)
+
+
 SPAN_100_DEAD_LOAD = {"n": 1.0 / 9.0, "H": 19850.4, "q": 19850.4 * 8.0 / 900.0, "Lc": 103.2}
 
 

@@ -405,6 +405,9 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
         ("bridge-report", {**SPAN_100, "EcAc": 0.0},
          [{"type": "constant", "value": 100.0}], {}, ["--force"], 1,
          "error: the bridge data give no Melan problem: b must be positive"),
+        # finite a and b whose sine-bracket M = a + 2*b*lam*L/pi overflows
+        ("check", {"L": 1000, "EI": 1, "EcAc": 1e10, "n": 0.1, "H": 1e4, "Lc": 1e-300},
+         [], {}, [], 1, "error: the sine bracket's coefficient M = inf overflows"),
         # zero tension or a flat cable is refused where the bridge is built
         ("check", {**SPAN_100_BEAM, "n": 0.11, "H": 0.0, "q": 10.0}, [], {}, [], 1,
          "error: H must be positive and finite, got 0.0"),
@@ -433,6 +436,7 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
          "error: config field 'output.dir': expected a path string, got 123"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
+         "overflowing-sine-bracket",
          "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel", "string-force", "boolean-sample", "string-sample",
          "overflowing-integer-sample", "numeric-output-dir"],
 )

@@ -216,6 +216,75 @@ def test_gp_convolution_matches_quadrature():
     assert got == pytest.approx(quad, rel=1e-8)
 
 
+def test_gp_convolution_of_a_sampled_load_at_any_positions():
+    # Each position's value depends on no other position asked for, so one
+    # position, or two, give the matching entries of a call at many.
+    xg = uniform_grid(3.0, 101)
+    load = LoadSpec((Sampled(1.0 + np.sin(xg)), Constant(0.5)))
+    pr = LinearProblem(M=2.0, N=0.0, L=3.0, load=load)
+    x = np.linspace(0.0, 3.0, 37)
+    many = gp_convolution(x, pr)
+    one = gp_convolution(x[5], pr)
+    assert isinstance(one, float)
+    assert np.float64(one).tobytes() == many[5].tobytes()
+    assert gp_convolution(x[[0, 36]], pr).tobytes() == many[[0, 36]].tobytes()
+
+
+ANALYTIC_LOADS = [
+    LoadSpec((Constant(1.5),)),
+    LoadSpec((Affine(0.4, -0.9),)),
+    LoadSpec((SineHalfWave(-0.7),)),
+    LoadSpec((Cubic(0.2),)),
+    LoadSpec((SinhTerm(0.3, 0.8),)),
+    LoadSpec((SinhTerm(0.3, np.sqrt(0.7)),)),  # resonant with mu
+    LoadSpec((Constant(1.5), Affine(0.4, -0.9), SineHalfWave(-0.7), Cubic(0.2),
+              SinhTerm(0.3, 0.8))),
+]
+
+
+@pytest.mark.parametrize("n", [7, 1001])
+@pytest.mark.parametrize("load", ANALYTIC_LOADS)
+def test_load_moment_of_an_analytic_load_is_the_solves_moment(load, n):
+    pr = LinearProblem(M=0.7, N=0.0, L=3.0, load=load)
+    want = LinearOperator(0.7, 0.0, 3.0, n).assemble(load)[2]
+    assert np.float64(load_moment_g(pr)).tobytes() == np.float64(want).tobytes()
+
+
+def test_load_moment_of_an_analytic_load_allocates_nothing_grid_sized():
+    pr = LinearProblem(M=0.7, N=0.0, L=3.0, load=ANALYTIC_LOADS[-1])
+    load_moment_g(pr)
+    tracemalloc.start()
+    try:
+        load_moment_g(pr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1001  # one float array on a 1001-node grid
+
+
+def simpson_moment(values, M, L):
+    """Reference load moment: sum_j w_j*p_j*psi(s_j) over the samples' own nodes."""
+    ns = len(values)
+    s = uniform_grid(L, ns)
+    return float((simpson_weights(ns, L / (ns - 1)) * values) @ psi(s, KernelParams(M, L)))
+
+
+@pytest.mark.parametrize("muL", [0.01, 0.66, 3.2, 30.0, 100.0, 300.0, 700.0])
+def test_sampled_load_moment_is_the_simpson_sum_of_load_times_psi(muL):
+    # Simpson of the smooth p*psi on the samples' own nodes: it matches the
+    # closed form of the same load at every stiffness.
+    L = 100.0
+    M = (muL / L) ** 2
+    values = 2.0 + np.sin(np.pi * uniform_grid(L, 1001) / L)
+    sampled = LinearProblem(M=M, N=0.0, L=L, load=LoadSpec((Sampled(values),)))
+    closed = LinearProblem(M=M, N=0.0, L=L, load=LoadSpec((Constant(2.0), SineHalfWave(1.0))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = load_moment_g(sampled)
+    assert lam == pytest.approx(simpson_moment(values, M, L), rel=1e-14)
+    assert lam == pytest.approx(load_moment_g(closed), rel=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # Picard iteration
 
@@ -305,7 +374,7 @@ def test_sampled_convolution_matches_dense_simpson_sum(muL, ns, positions):
         x = uniform_grid(L, 501)
     else:
         x = rng.permutation(np.concatenate(([0.0, L], rng.uniform(0.0, L, 35))))
-    A, B, _, _ = _convolve_term(Sampled(values), x, KernelParams(M, L))
+    A, B, _ = _convolve_term(Sampled(values), x, KernelParams(M, L))
     A_ref, B_ref = dense_simpson_convolutions(values, x, M, L)
     assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
     assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
@@ -316,7 +385,8 @@ def four_sum_convolutions(values, x, M, L):
 
     The damped gm sums and the plain g0 sums each run as their own real
     cumsum per direction, and the split at x is a gather at lo and hi; past
-    mu*L = 300 the damped sums run in blocks of at most 300/mu.
+    mu*L = 300 the damped sums run in blocks of at most 300/mu.  The load
+    moment is the Simpson sum of p*psi over the samples.
     """
     mu = np.sqrt(M)
     ns = len(values)
@@ -350,8 +420,7 @@ def four_sum_convolutions(values, x, M, L):
     head = (s * v).cumsum()
     tail = (u * vr).cumsum()[::-1]
     B = ((L - x) * head[lo] + x * tail[hi]) / L
-    wx = simpson_weights(x.size, L / (x.size - 1))
-    return A, B, float(wx @ A), float(wx @ B)
+    return A, B, simpson_moment(values, M, L)
 
 
 @pytest.mark.parametrize("muL", [1e-4, 0.66, 2.0, 300.0, 700.0, 2000.0])
@@ -361,7 +430,8 @@ def test_packed_running_sums_keep_the_four_real_sums(muL, ns):
     # prepared coefficients, with every per-node factor folded in once.  The
     # folded products are reassociated, so on and off the operator's grid,
     # in one damping block or several, the parts agree with the four real
-    # running sums to within roundoff.
+    # running sums to within roundoff, and the load moment agrees with the
+    # Simpson sum of p*psi.
     L, n = 3.0, 501
     M = (muL / L) ** 2
     s = uniform_grid(L, ns)
@@ -385,18 +455,16 @@ def test_prepared_convolution_matches_dense_simpson_sums(log_muL, L, n, ns, seed
     # The prepared coefficients reassociate every product of the Simpson
     # sums; against the dense kernel-matrix sums they stay within 1e-13
     # relative, on the operator's own grid (ns = None) and off it, in one
-    # damping block or several.
+    # damping block or several; the load moment is the Simpson sum of p*psi.
     ns = n if ns is None else ns
     M = (10.0**log_muL / L) ** 2
     values = np.random.default_rng(seed).uniform(0.1, 2.0, ns)
     op = LinearOperator(M, 0.0, L, n)
-    A, B, intA, intB = op._profile_for(ns).convolve(values)
+    A, B, lam = op._profile_for(ns).convolve(values)
     A_ref, B_ref = dense_simpson_convolutions(values, op.grid, M, L)
-    w = simpson_weights(n, L / (n - 1))
     for got, ref in ((A, A_ref), (B, B_ref)):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    assert intA == pytest.approx(float(w @ A_ref), rel=1e-13)
-    assert intB == pytest.approx(float(w @ B_ref), rel=1e-13)
+    assert lam == pytest.approx(simpson_moment(values, M, L), rel=1e-13)
 
 
 def _solution_bytes(sol):
@@ -424,11 +492,10 @@ def test_reused_operator_is_bit_identical_to_a_fresh_solve(muL):
             assert _solution_bytes(reused) == _solution_bytes(fresh), key
             if key == "analytic":
                 continue
-            # Same solve from the dense-matrix Simpson sums.
+            # Same solve from the dense-matrix Simpson sums and Simpson of p*psi.
             values = load.terms[0].values
             A_ref, B_ref = dense_simpson_convolutions(values, op.grid, M, L)
-            w = simpson_weights(n, L / (n - 1))
-            lam = float(w @ (B_ref - A_ref)) / M
+            lam = simpson_moment(values, M, L)
             integral = lam / (1.0 + N * op.zeta)
             y_ref = (B_ref - A_ref) / M - N * integral * op.psi
             scale = (np.max(np.abs(A_ref)) + np.max(np.abs(B_ref))) / M
@@ -436,7 +503,7 @@ def test_reused_operator_is_bit_identical_to_a_fresh_solve(muL):
             assert reused.integral_y == pytest.approx(integral, rel=1e-12, abs=1e-12 * scale * L)
     # The cached sampled profile is the only one kept; past mu*L = 300 it
     # runs the multi-block damped sums.
-    assert op._profile is not None and op._profile.ns == n
+    assert op._profile is not None and op._profile.wpsi.size == n
     assert (len(op._profile.fwd_blocks) > 1) == (muL > 300.0)
 
 
@@ -542,7 +609,7 @@ def test_sinh_overflow_raises_without_warnings(solve):
         lambda pr: solve_linear(pr, grid_points=101),
         lambda pr: picard_iterate(pr, 2, grid_points=101),
         lambda pr: gp_convolution(np.linspace(0.0, 2.0, 9), pr),
-        lambda pr: load_moment_g(pr, grid_points=101),
+        load_moment_g,
     ],
     ids=["solve_linear", "picard_iterate", "gp_convolution", "load_moment_g"],
 )

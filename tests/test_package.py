@@ -67,7 +67,7 @@ def _unused_imports(source: str):
 
 
 # Imports kept only so that perfbench/tracer.py can wrap the name at that site.
-TRACER_ONLY_IMPORTS = {("melan.linear", "psi"), ("melan.monotone", "integrate")}
+TRACER_ONLY_IMPORTS = {("melan.monotone", "integrate")}
 
 
 def test_every_import_is_used_or_wrapped_by_the_tracer(monkeypatch):
