@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .criteria import ConditionReport, _report, check_sine_conditions
+from .criteria import ConditionReport, _report, check_positivity, check_sine_conditions
 from .errors import ConfigError, EnvelopeViolation, NotApplicable
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
@@ -246,8 +246,8 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     L = bp.L
     lam = L / 100.0
 
-    sine = check_sine_conditions(a, b, c, L, lam)
-    positivity = sine.positivity
+    M, N = check_sine_conditions(a, b, c, L, lam)
+    positivity = check_positivity(M, N, L)
 
     coeff = 800.0 * r.n + np.pi**2
     necessary_b = _report("necessary-b", coeff * b / 100.0, 80.0 / L**4)
@@ -268,7 +268,7 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     return ApplicabilityReport(
         a=a, b=b, c=c,
         n=r.n, qh=r.qh, H=r.H, q=r.q, Lc=r.Lc,
-        lam=float(lam), M=sine.M, N=sine.N,
+        lam=float(lam), M=M, N=N,
         positivity=positivity,
         necessary_b=necessary_b,
         necessary_c=necessary_c,

@@ -8,6 +8,7 @@ configuration sits to the boundary instead of a bare boolean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -15,7 +16,6 @@ from .errors import ConfigError
 
 __all__ = [
     "ConditionReport",
-    "SineCheck",
     "sigma",
     "xi",
     "check_positivity",
@@ -139,23 +139,15 @@ def contraction_rho(a: float, b: float, c: float, M: float, N: float, L: float) 
     return float(lead * ((M - a) + (L**3 / 4.0) * (N - c)))
 
 
-@dataclass(frozen=True)
-class SineCheck:
-    """The sine bracket's linearization coefficients and its positivity report."""
+def check_sine_conditions(a: float, b: float, c: float, L: float,
+                          lam: float) -> Tuple[float, float]:
+    """The linearization coefficients (M, N) of the bracket lam*sin(pi*x/L).
 
-    M: float
-    N: float
-    positivity: ConditionReport
-
-
-def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) -> SineCheck:
-    """Check the condition under which lam*sin(pi*x/L) brackets the solution.
-
-    The induced linearization coefficients are M = a + 2*b*lam*L/pi and
-    N = c + b*lam*pi**2/L**2 (the sine's own integral and curvature); this
-    is the one place they are computed.  The reported condition is the
-    positivity of the linear solution operator; uniqueness within the
-    bracket is check_uniqueness at these (M, N).
+    M = a + 2*b*lam*L/pi and N = c + b*lam*pi**2/L**2 (the sine's own
+    integral and curvature), returned as Python floats; this is the one
+    place they are computed.  The bracket's conditions are checked at these
+    values: positivity by check_positivity(M, N, L), uniqueness within the
+    bracket by check_uniqueness.
 
     lam = 0 is the degenerate flat bracket: M = a, N = c.  An overflowing
     M or N raises ConfigError.
@@ -168,4 +160,4 @@ def check_sine_conditions(a: float, b: float, c: float, L: float, lam: float) ->
         if not np.isfinite(value):
             raise ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
                               f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
-    return SineCheck(M=float(M), N=float(N), positivity=check_positivity(M, N, L))
+    return float(M), float(N)

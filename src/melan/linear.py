@@ -518,6 +518,7 @@ def residual(solution: GridSolution, problem: LinearProblem) -> float:
     applying it to y), so the check is independent of how y and y'' were
     assembled while avoiding the noise amplification of a direct five-point
     fourth difference.  The nonlocal term uses the solution's stored integral.
+    Raises NonFiniteSolution when the defect is not finite.
     """
     x, y, ypp = solution.grid, solution.y, solution.ypp
     m = x.size
@@ -531,11 +532,16 @@ def residual(solution: GridSolution, problem: LinearProblem) -> float:
         ) / (12.0 * h * h)
 
     p_vals = problem.load.evaluate(x, problem.L)
-    defect = (
-        second_diff(ypp)
-        - problem.M * second_diff(y)
-        + problem.N * solution.integral_y
-        - p_vals[2:-2]
-    )
-    scale = max(1.0, float(np.max(np.abs(p_vals))))
-    return float(np.max(np.abs(defect))) / scale
+    # An underflowing step or an overflowing stencil raises below, without warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        defect = (
+            second_diff(ypp)
+            - problem.M * second_diff(y)
+            + problem.N * solution.integral_y
+            - p_vals[2:-2]
+        )
+        scale = max(1.0, float(np.max(np.abs(p_vals))))
+        res = float(np.max(np.abs(defect))) / scale
+    if not np.isfinite(res):
+        raise NonFiniteSolution(f"the residual check is not finite ({res}) at h = {h:.6g}")
+    return res

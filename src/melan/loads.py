@@ -33,6 +33,10 @@ class _FiniteTerm:
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
 
+    def scaled(self, factor: float):
+        """The load times factor: a closed-form term is linear in every field."""
+        return type(self)(*(v * factor for v in vars(self).values()))
+
 
 @dataclass(frozen=True)
 class Constant(_FiniteTerm):
@@ -42,9 +46,6 @@ class Constant(_FiniteTerm):
 
     def evaluate(self, x, length: float):
         return np.full_like(np.asarray(x, dtype=float), self.value)
-
-    def scaled(self, factor: float) -> "Constant":
-        return Constant(self.value * factor)
 
 
 @dataclass(frozen=True)
@@ -57,9 +58,6 @@ class Affine(_FiniteTerm):
     def evaluate(self, x, length: float):
         return self.c0 + self.c1 * np.asarray(x, dtype=float)
 
-    def scaled(self, factor: float) -> "Affine":
-        return Affine(self.c0 * factor, self.c1 * factor)
-
 
 @dataclass(frozen=True)
 class SineHalfWave(_FiniteTerm):
@@ -70,9 +68,6 @@ class SineHalfWave(_FiniteTerm):
     def evaluate(self, x, length: float):
         return self.amplitude * np.sin(np.pi * np.asarray(x, dtype=float) / length)
 
-    def scaled(self, factor: float) -> "SineHalfWave":
-        return SineHalfWave(self.amplitude * factor)
-
 
 @dataclass(frozen=True)
 class Cubic(_FiniteTerm):
@@ -82,9 +77,6 @@ class Cubic(_FiniteTerm):
 
     def evaluate(self, x, length: float):
         return self.c3 * np.asarray(x, dtype=float) ** 3
-
-    def scaled(self, factor: float) -> "Cubic":
-        return Cubic(self.c3 * factor)
 
 
 @dataclass(frozen=True)

@@ -205,11 +205,7 @@ class ZeroShape:
     def evaluate(self, x, length):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-    def second(self, x, length):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def fourth(self, x, length):
-        return np.zeros_like(np.asarray(x, dtype=float))
+    second = fourth = evaluate
 
     def integral(self, length) -> float:
         return 0.0
@@ -282,8 +278,7 @@ def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: in
     field is a pure function of the key, so a hit and a miss give the same
     bits.
     """
-    sine_check = check_sine_conditions(a, b, c, L, lam)
-    M, N = sine_check.M, sine_check.N
+    M, N = check_sine_conditions(a, b, c, L, lam)
     operator = LinearOperator(M, N, float(L), grid_points)
     y = SineShape(lam).evaluate(operator.grid, L)
     # SineShape.second and .fourth, from the same samples.

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import melan.bridge
+import melan.criteria
 import melan.linear
 import melan.monotone
 from melan import (
@@ -28,6 +29,7 @@ from melan import (
     SineShape,
     applicability,
     cable_length,
+    check_positivity,
     derive_coefficients,
     iterate_melan,
     load_envelope,
@@ -176,6 +178,12 @@ def assert_positivity_b_form(rep, L):
 def test_positivity_two_forms_agree_on_reference_configs():
     for bp in (span_150(), span_100(), span_460()):
         assert_positivity_b_form(applicability(bp), bp.L)
+
+
+def test_report_positivity_is_the_bound_at_its_own_coefficients():
+    for bp in (span_150(), span_100(), span_460()):
+        rep = applicability(bp)
+        assert rep.positivity == check_positivity(rep.M, rep.N, bp.L)
 
 
 def test_positivity_two_forms_agree_randomized():
@@ -600,3 +608,20 @@ def test_a_second_load_on_a_bridge_rebuilds_nothing(monkeypatch):
     assert counts == dict.fromkeys(counts, 1)
     solve_bridge(replace(span_100(), EI=2.0 * span_100().EI), LIVE_LOADS[1], grid_points=201)
     assert counts == dict.fromkeys(counts, 2)
+
+
+def test_each_memo_evaluates_positivity_once(monkeypatch):
+    # sigma runs once per positivity bound: a cold bridge has two memos (its
+    # report and its bracket), a second load hits both, and a bare
+    # iteration has only the bracket.
+    calls = []
+    original = melan.criteria.sigma
+    monkeypatch.setattr(melan.criteria, "sigma", lambda x: calls.append(x) or original(x))
+    clear_memos()
+    solve_bridge(span_100(), LIVE_LOADS[0], grid_points=201)
+    assert len(calls) == 2
+    solve_bridge(span_100(), LIVE_LOADS[1], grid_points=201)
+    assert len(calls) == 2
+    gentle = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.001),)))
+    iterate_melan(gentle, grid_points=201)
+    assert len(calls) == 3

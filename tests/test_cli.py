@@ -500,6 +500,27 @@ def test_overflowing_bracket_amplitude_exits_three_quietly(tmp_path):
     assert "RuntimeWarning" not in proc.stderr
 
 
+@pytest.mark.parametrize("problem, load", [
+    # h**2 underflows to 0, so the stencil divides by zero
+    ({"M": 1.0, "N": 0.0, "L": 1e-300}, {"type": "constant", "value": 1.0}),
+    # the solution is finite, but the stencil's sums overflow
+    ({"M": 1.0, "N": 0.0, "L": 1.0}, {"type": "sampled", "values": [1e308] * 3}),
+])
+def test_non_finite_residual_exits_three_before_writing(tmp_path, problem, load):
+    cfg = write_config(tmp_path / "cfg.json", {"problem": problem, "load": [load]})
+    proc = subprocess.run(
+        [sys.executable, "-m", "melan.cli", "solve-linear", "--config", cfg, "--out",
+         str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        cwd=str(tmp_path),
+        env=child_env(),
+    )
+    assert proc.returncode == 3
+    assert not (tmp_path / "out" / "summary.json").exists()
+    assert "Warning" not in proc.stderr
+
+
 _IMPORT_GUARD = """
 import sys
 import melan.cli

@@ -180,18 +180,19 @@ def test_contraction_rho_signed():
 
 
 def test_sine_conditions_standard_instance():
-    sc = check_sine_conditions(0.1, 0.1, 0.1, 2.0, np.pi / 4.0)
-    assert sc.M == pytest.approx(0.2, rel=1e-14)
-    assert sc.N == pytest.approx(SINE_N, rel=1e-14)
-    assert sc.positivity.satisfied
-    assert sc.positivity.name == "positivity"
+    M, N = check_sine_conditions(0.1, 0.1, 0.1, 2.0, np.pi / 4.0)
+    assert M == pytest.approx(0.2, rel=1e-14)
+    assert N == pytest.approx(SINE_N, rel=1e-14)
+    positivity = check_positivity(M, N, 2.0)
+    assert positivity.satisfied
+    assert positivity.name == "positivity"
 
 
 def test_sine_frozen_coefficients_formulas():
     a, b, c, L, lam = 0.37, 0.21, 0.05, 3.0, 0.4
-    sc = check_sine_conditions(a, b, c, L, lam)
-    assert sc.M == pytest.approx(a + 2.0 * b * lam * L / np.pi, rel=1e-14)
-    assert sc.N == pytest.approx(c + b * lam * np.pi ** 2 / L ** 2, rel=1e-14)
+    M, N = check_sine_conditions(a, b, c, L, lam)
+    assert M == pytest.approx(a + 2.0 * b * lam * L / np.pi, rel=1e-14)
+    assert N == pytest.approx(c + b * lam * np.pi ** 2 / L ** 2, rel=1e-14)
 
 
 @given(

@@ -102,8 +102,7 @@ def test_sine_pair_takes_its_coefficients_from_the_sine_conditions():
         L = float(rng.uniform(60.0, 300.0))
         problem = MelanProblem(a=a, b=b, c=c, L=L, load=LoadSpec((Constant(0.0),)))
         pair = make_sine_pair(problem, L / 100.0, 7)
-        sc = check_sine_conditions(a, b, c, L, L / 100.0)
-        assert (pair.M, pair.N) == (sc.M, sc.N)
+        assert (pair.M, pair.N) == check_sine_conditions(a, b, c, L, L / 100.0)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,8 +13,9 @@ ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["melan"] + [f"melan.{m.name}" for m in pkgutil.iter_modules(melan.__path__)]
 
 # sorted(melan.__all__): the names the package exported before its list was
-# built from the module lists, less SolutionMeta (GridSolution.regime now)
-# and MissingCableLength (a bridge without a cable length is refused when built).
+# built from the module lists, less SolutionMeta (GridSolution.regime now),
+# MissingCableLength (a bridge without a cable length is refused when built)
+# and the sine-bracket record (check_sine_conditions returns (M, N) alone).
 SURFACE = [
     "Affine", "ApplicabilityReport", "BoundPair", "BoundUnavailable", "BridgeParams",
     "BridgeSolution", "ConditionReport", "ConfigError", "Constant", "Cubic",
@@ -22,7 +23,7 @@ SURFACE = [
     "IterationTrace", "KernelParams", "LinearOperator", "LinearProblem", "LoadSpec",
     "MelanError", "MelanProblem", "MonotoneVerdict",
     "MonotonicityViolation", "NewtonDiverged", "NonFiniteSolution", "NotApplicable",
-    "NotContractive", "NotConverged", "Sampled", "SineCheck", "SineHalfWave", "SineShape",
+    "NotContractive", "NotConverged", "Sampled", "SineHalfWave", "SineShape",
     "SingularResonance", "SingularSystem", "SinhTerm", "ZeroShape", "__version__",
     "applicability", "cable_length", "check_positivity", "check_sine_conditions",
     "check_smallness", "check_uniqueness", "contraction_rho", "derive_coefficients",
