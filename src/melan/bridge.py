@@ -250,11 +250,15 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     positivity = check_positivity(M, N, L)
 
     coeff = 800.0 * r.n + np.pi**2
-    necessary_b = _report("necessary-b", coeff * b / 100.0, 80.0 / L**4)
-    necessary_c = _report("necessary-c", coeff * c / (800.0 * r.n), 80.0 / L**5)
-    uniqueness_sine = _report(
-        "uniqueness-sine", (40.0 / np.pi + 5.0 * np.pi**2) * b / 100.0, 80.0 / L**4
-    )
+    try:
+        necessary_b = _report("necessary-b", coeff * b / 100.0, 80.0 / L**4)
+        necessary_c = _report("necessary-c", coeff * c / (800.0 * r.n), 80.0 / L**5)
+        uniqueness_sine = _report(
+            "uniqueness-sine", (40.0 / np.pi + 5.0 * np.pi**2) * b / 100.0, 80.0 / L**4
+        )
+    except (OverflowError, ZeroDivisionError) as exc:  # L**4 or L**5 leaves the float range
+        raise ConfigError(f"the bounds 80/L**4 and 80/L**5 leave the float range at span "
+                          f"L = {L:.6g}") from exc
     sag_ratio = _report("sag-ratio", _SAG_GATE, r.n)
 
     if positivity.satisfied and (sag_ratio.satisfied or uniqueness_sine.satisfied):
@@ -287,7 +291,7 @@ class BridgeSolution:
     `deflection` is the midpoint of the final bracket in meters; `h_w` is
     the additional horizontal cable tension (kN) caused by that deflection,
     (EcAc/Lc)*(q/H)*integral(w).  The full iteration history lives in
-    `monotone` (and its lower/upper traces).
+    `monotone` (and its lower/upper iterate tuples).
     """
 
     report: ApplicabilityReport

@@ -313,8 +313,8 @@ def _run_check(config: dict, args) -> int:
 
 
 def _trace_payload(verdict: MonotoneVerdict) -> dict:
-    def maxima(trace):
-        return [float(np.max(np.abs(it.y))) for it in trace.iterates]
+    def maxima(iterates):
+        return [float(np.max(np.abs(it.y))) for it in iterates]
 
     return {
         "M": verdict.M,
@@ -336,9 +336,9 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
 
 
 def _write_trace_curves(out: Path, verdict: MonotoneVerdict) -> None:
-    for trace in (verdict.lower, verdict.upper):
-        for k, it in enumerate(trace.iterates):
-            _write_curve(out / f"{trace.side}_{k}.csv", verdict.grid, it.y, it.ypp)
+    for side, iterates in (("lower", verdict.lower), ("upper", verdict.upper)):
+        for k, it in enumerate(iterates):
+            _write_curve(out / f"{side}_{k}.csv", verdict.grid, it.y, it.ypp)
 
 
 def _run_iterate(config: dict, args) -> int:

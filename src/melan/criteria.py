@@ -154,10 +154,17 @@ def check_sine_conditions(a: float, b: float, c: float, L: float,
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
+
+    def overflows(name: str, value: float) -> ConfigError:
+        return ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
+                           f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
+
     M = a + 2.0 * b * lam * L / np.pi
-    N = c + b * lam * np.pi**2 / L**2
+    try:
+        N = c + b * lam * np.pi**2 / L**2
+    except (OverflowError, ZeroDivisionError) as exc:  # L**2 leaves the float range
+        raise overflows("N", np.inf) from exc
     for name, value in (("M", M), ("N", N)):
         if not np.isfinite(value):
-            raise ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
-                              f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
+            raise overflows(name, value)
     return float(M), float(N)

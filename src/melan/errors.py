@@ -59,7 +59,7 @@ class MonotonicityViolation(MelanError):
 class NotConverged(MelanError):
     """The two-sided iteration stopped before the bracket width reached tolerance.
 
-    Carries the partial traces so callers can inspect how far the run got.
+    Carries the partial iterate tuples so callers can see how far the run got.
     """
 
     def __init__(self, message: str, lower=None, upper=None):

@@ -375,6 +375,8 @@ class LinearOperator:
             self.zeta = zeta(params)
         except OverflowError as exc:
             raise NonFiniteSolution(f"kernel profiles overflow at M = {M:.6g}") from exc
+        except ZeroDivisionError as exc:  # zeta's 12*M**2*mu underflows to zero
+            raise NonFiniteSolution(f"zeta's denominator underflows at M = {M:.6g}") from exc
         coupling = N * self.zeta
         self.denom = 1.0 + coupling
         if abs(self.denom) < _SINGULAR_TOL * max(1.0, abs(coupling)):

@@ -49,7 +49,6 @@ __all__ = [
     "MelanProblem",
     "Iterate",
     "BoundPair",
-    "IterationTrace",
     "MonotoneVerdict",
     "ZeroShape",
     "SineShape",
@@ -132,28 +131,22 @@ class BoundPair:
 
 
 @dataclass(frozen=True, eq=False)
-class IterationTrace:
-    """History of one side of the bracket; iterates[0] is the initial bound."""
-
-    side: str
-    iterates: Tuple[Iterate, ...]
-
-
-@dataclass(frozen=True, eq=False)
 class MonotoneVerdict:
     """Outcome of the two-sided iteration.
 
-    `gaps[n]` is the observed bracket width max|beta_n - alpha_n| after n
-    sweeps, and `gap_bounds[n]` its a-priori sup-norm bound (L**2/4)*rho**n
-    times the initial curvature gap (rho clamped at zero).  `certified`
-    is True only for a clean run: ordered, monotone, converged, with the
-    bracket and positivity conditions verified.  `uniqueness` reports the
-    strict condition under which the bracket pins down a single solution;
-    it does not affect certification of the bracket itself.
+    After n sweeps the iterates are `lower[n]` and `upper[n]` (index 0
+    holds the pair's own alpha and beta), `gaps[n]` is the observed bracket
+    width max|beta_n - alpha_n|, and `gap_bounds[n]` its a-priori sup-norm
+    bound (L**2/4)*rho**n times the initial curvature gap (rho clamped at
+    zero).  `certified` is True only for a clean run: ordered, monotone,
+    converged, with the bracket and positivity conditions verified.
+    `uniqueness` reports the strict condition under which the bracket pins
+    down a single solution; it does not affect certification of the
+    bracket itself.
     """
 
-    lower: IterationTrace
-    upper: IterationTrace
+    lower: Tuple[Iterate, ...]
+    upper: Tuple[Iterate, ...]
     grid: np.ndarray
     M: float
     N: float
@@ -174,11 +167,11 @@ class MonotoneVerdict:
 
     @property
     def final_lower(self) -> Iterate:
-        return self.lower.iterates[-1]
+        return self.lower[-1]
 
     @property
     def final_upper(self) -> Iterate:
-        return self.upper.iterates[-1]
+        return self.upper[-1]
 
     @property
     def y(self) -> np.ndarray:
@@ -284,7 +277,11 @@ def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: in
     # SineShape.second and .fourth, from the same samples.
     ypp = -((np.pi / L) ** 2) * y
     I = SineShape(lam).integral(L)
-    model = _model(a, b, c, (np.pi / L) ** 4 * y, ypp, I)
+    try:  # (pi/L)**4 leaves the float range, or its product with the samples
+        with np.errstate(over="raise"):
+            model = _model(a, b, c, (np.pi / L) ** 4 * y, ypp, I)
+    except (OverflowError, FloatingPointError) as exc:
+        raise NonFiniteSolution(f"the sine bound's model overflows at L = {L:.6g}") from exc
     zero = np.zeros_like(y)
     for samples in (zero, y, ypp, model):
         samples.flags.writeable = False
@@ -320,7 +317,11 @@ def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
     L = problem.L
-    if not np.isfinite(lam * (np.pi / L) ** 2):
+    try:
+        curvature = lam * (np.pi / L) ** 2
+    except OverflowError:  # (pi/L)**2 leaves the float range
+        curvature = np.inf
+    if not np.isfinite(curvature):
         raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
     bracket = _bracket(problem.a, problem.b, problem.c, L, lam, grid_points)
     p = problem.load.evaluate(bracket.grid, L)
@@ -362,9 +363,9 @@ def run_monotone(
     In strict mode the initial bounds are verified against the model and a
     failing positivity condition refuses to run (NotApplicable);
     monotonicity breaks raise MonotonicityViolation, and failure to reach
-    `tol` within `max_iter` sweeps raises NotConverged (with traces
-    attached).  With strict=False those conditions downgrade to warnings,
-    the run continues, and the result is marked uncertified.
+    `tol` within `max_iter` sweeps raises NotConverged (with both
+    histories attached).  With strict=False those conditions downgrade to
+    warnings, the run continues, and the result is marked uncertified.
     """
     problem = pair.problem
     warnings: List[str] = []
@@ -452,8 +453,7 @@ def run_monotone(
     converged = gaps[-1] < tol
     status = "monotonicity-violation" if violated else "converged" if converged else "max-iters"
 
-    lower = IterationTrace("lower", tuple(alphas))
-    upper = IterationTrace("upper", tuple(betas))
+    lower, upper = tuple(alphas), tuple(betas)
     if status != "converged":
         # Strict mode raised at the first violation, so only max-iters gets here.
         stopped = f"bracket width {gaps[-1]:.6g} after {iterations} sweeps"
@@ -499,7 +499,7 @@ def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
         raise BoundUnavailable(
             f"contraction factor rho = {rho:.6g} is not below 1"
         )
-    alpha0, beta0 = verdict.lower.iterates[0], verdict.upper.iterates[0]
+    alpha0, beta0 = verdict.lower[0], verdict.upper[0]
     gap0_pp = float(np.max(np.abs(alpha0.ypp - beta0.ypp)))
     gap_bound = _gap_bound(float(verdict.grid[-1]), rho, n, gap0_pp)
     a_priori = gap_bound / (1.0 - rho)

@@ -138,7 +138,7 @@ def test_criterion_03_sigma_golden_values():
 
 def test_criterion_04_iteration_benchmark(run_51):
     _, v = run_51
-    al, be = v.lower.iterates, v.upper.iterates
+    al, be = v.lower, v.upper
     a1 = float(np.max(np.abs(al[1].y)))
     b1 = float(np.max(np.abs(be[1].y)))
     a2 = float(np.max(np.abs(al[2].y)))
@@ -207,8 +207,8 @@ def test_criterion_06_applicability_verdicts():
 
 def test_criterion_07_full_run_maxima(run_62, run_63_forced):
     failures = []
-    al = run_62.monotone.lower.iterates
-    be = run_62.monotone.upper.iterates
+    al = run_62.monotone.lower
+    be = run_62.monotone.upper
     got = (float(np.max(np.abs(al[1].y))), float(np.max(np.abs(be[1].y))),
            float(np.max(np.abs(al[2].y))), float(np.max(np.abs(be[2].y))))
     want = (0.3342, 0.3709, 0.35151, 0.35319)
@@ -217,8 +217,8 @@ def test_criterion_07_full_run_maxima(run_62, run_63_forced):
         check(failures, rel <= 0.01,
               f"span-100 iterate max {g:.6f} vs {w} (off {rel:.2%})")
 
-    al3 = run_63_forced.monotone.lower.iterates
-    be3 = run_63_forced.monotone.upper.iterates
+    al3 = run_63_forced.monotone.lower
+    be3 = run_63_forced.monotone.upper
     g = float(np.max(np.abs(al3[1].y)))
     rel = abs(g - 0.223607) / 0.223607
     check(failures, rel <= 0.005,
@@ -278,7 +278,7 @@ def test_criterion_09_ordering_and_gap_bounds(run_51, run_62):
     failures = []
     for tag, v in certified_runs:
         check(failures, v.certified, f"{tag}: run is not certified")
-        al, be = v.lower.iterates, v.upper.iterates
+        al, be = v.lower, v.upper
         scale = 1e-9 * max(1.0, float(np.max(np.abs(be[0].y))))
         for k in range(1, min(len(al), len(be))):
             ok = (np.max(al[k - 1].y - al[k].y) <= scale
@@ -324,10 +324,10 @@ def test_criterion_10_oracle_equivalence(run_51, run_62):
     grid = v51.grid
     w = np.interp(grid, nl.grid, nl.y)
     slack = 5e-4 * float(np.max(np.abs(nl.y)))
-    for k, it in enumerate(v51.lower.iterates):
+    for k, it in enumerate(v51.lower):
         check(failures, float(np.max(it.y - w)) <= slack,
               f"standard: limit below lower iterate {k}")
-    for k, it in enumerate(v51.upper.iterates):
+    for k, it in enumerate(v51.upper):
         check(failures, float(np.min(it.y - w)) >= -slack,
               f"standard: limit above upper iterate {k}")
 
@@ -340,10 +340,10 @@ def test_criterion_10_oracle_equivalence(run_51, run_62):
     grid = run_62.monotone.grid
     w = np.interp(grid, nl62.grid, nl62.y)
     slack = 5e-4 * float(np.max(np.abs(nl62.y)))
-    for k, it in enumerate(run_62.monotone.lower.iterates):
+    for k, it in enumerate(run_62.monotone.lower):
         check(failures, float(np.max(it.y - w)) <= slack,
               f"span-100: limit below lower iterate {k}")
-    for k, it in enumerate(run_62.monotone.upper.iterates):
+    for k, it in enumerate(run_62.monotone.upper):
         check(failures, float(np.min(it.y - w)) >= -slack,
               f"span-100: limit above upper iterate {k}")
     verdict("criterion 10", failures)

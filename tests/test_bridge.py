@@ -8,6 +8,7 @@ Three reference configurations are used throughout (all quantities kN, m):
 """
 
 import itertools
+import re
 import warnings
 from dataclasses import replace
 
@@ -38,7 +39,7 @@ from melan import (
     solve_linear,
     verify_upper,
 )
-from melan.errors import ConfigError, EnvelopeViolation, NotApplicable
+from melan.errors import ConfigError, EnvelopeViolation, NonFiniteSolution, NotApplicable
 from melan.monotone import _apply_model
 from melan.quadrature import integrate, uniform_grid
 
@@ -260,8 +261,8 @@ def test_full_run_span_100_deflection_and_tension(run_100):
 
 
 def test_full_run_span_100_iterate_maxima(run_100):
-    al = run_100.monotone.lower.iterates
-    be = run_100.monotone.upper.iterates
+    al = run_100.monotone.lower
+    be = run_100.monotone.upper
     assert np.max(np.abs(al[1].y)) == pytest.approx(0.3291537272856484, rel=1e-9)
     assert np.max(np.abs(be[1].y)) == pytest.approx(0.36586443935919355, rel=1e-9)
     assert np.max(np.abs(al[2].y)) == pytest.approx(0.34772389756857236, rel=1e-9)
@@ -304,9 +305,9 @@ def test_forced_run_span_460_reports_violation():
     assert not v.certified
     assert v.rho == pytest.approx(50.480858854971856, rel=1e-6)
     assert len(v.warnings) > 0
-    assert np.max(np.abs(v.lower.iterates[1].y)) == pytest.approx(
+    assert np.max(np.abs(v.lower[1].y)) == pytest.approx(
         0.22283716440817525, rel=1e-9)
-    assert np.max(np.abs(v.upper.iterates[1].y)) == pytest.approx(
+    assert np.max(np.abs(v.upper[1].y)) == pytest.approx(
         0.6499946144328224, rel=1e-9)
     assert result.h_w == pytest.approx(10853.681073572872, rel=1e-9)
     assert np.max(np.abs(result.deflection.y)) == pytest.approx(
@@ -447,6 +448,43 @@ def test_overflowing_dead_load_data_are_refused():
                 load_envelope(bp)
 
 
+def _sine_run(L):
+    problem = MelanProblem(0.1, 0.1, 0.1, L, LoadSpec((Constant(0.1),)))
+    return iterate_melan(problem, grid_points=11)
+
+
+def _span_100_check(L):
+    return applicability(BridgeParams(L=L, EI=4.557e8, EcAc=4121700.0, n=1.0 / 9.0,
+                                      H=19850.4))
+
+
+def _constant_solve(M):
+    return solve_linear(LinearProblem(M=M, N=0.0, L=1.0, load=LoadSpec((Constant(1.0),))))
+
+
+@pytest.mark.parametrize(
+    "run, value, error, message",
+    [
+        (_sine_run, 1e200, ConfigError, "coefficient N = inf overflows"),
+        (_sine_run, 1e-120, NonFiniteSolution, "sine bound's model overflows at L = 1e-120"),
+        (_sine_run, 1e-200, NonFiniteSolution, "sine bound's curvature overflows"),
+        *[(_span_100_check, L, ConfigError, f"float range at span L = {L:.6g}")
+          for L in (1e80, 1e100, 1e-80, 1e-100)],
+        *[(_constant_solve, M, NonFiniteSolution, f"zeta's denominator underflows at M = {M:.6g}")
+          for M in (1e-150, 1e-200, 1e-300)],
+    ],
+    ids=lambda arg: arg.__name__.lstrip("_") if callable(arg) else None,
+)
+def test_extreme_magnitudes_raise_a_melan_error(run, value, error, message):
+    # A float power or quotient of L or M leaves the float range: the run
+    # ends in the named MelanError, not a bare OverflowError or
+    # ZeroDivisionError, and numpy warns nothing on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=re.escape(message)):
+            run(value)
+
+
 SPAN_100_DEAD_LOAD = {"n": 1.0 / 9.0, "H": 19850.4, "q": 19850.4 * 8.0 / 900.0, "Lc": 103.2}
 
 
@@ -531,8 +569,8 @@ def assert_same_run(first, second):
     # every iterate, gap, gap bound and h_w, bit for bit
     v, w = first.monotone, second.monotone
     for a, b in ((v.lower, w.lower), (v.upper, w.upper)):
-        assert len(a.iterates) == len(b.iterates)
-        for x, y in zip(a.iterates, b.iterates):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
             assert np.array_equal(x.y, y.y) and np.array_equal(x.ypp, y.ypp)
             assert x.integral == y.integral
     assert np.array_equal(v.grid, w.grid)

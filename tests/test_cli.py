@@ -419,6 +419,12 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
         ("solve-linear", {"M": 1e200, "N": 0.0, "L": 1.0},
          [{"type": "constant", "value": 1.0}], {}, [], 3,
          "numerical failure: kernel profiles overflow"),
+        # a bound 80/L**4 overflows, and zeta's 12*M**2*mu underflows to zero
+        ("check", {**SPAN_100_BEAM, "L": 1e80, "n": 1.0 / 9.0, "H": 19850.4}, [], {}, [], 1,
+         "error: the bounds 80/L**4 and 80/L**5 leave the float range at span L = 1e+80"),
+        ("solve-linear", {"M": 1e-150, "N": 0.0, "L": 1.0},
+         [{"type": "constant", "value": 1.0}], {}, [], 3,
+         "numerical failure: zeta's denominator underflows at M = 1e-150"),
         # a refused bridge (span-150) must not be forced by a truthy string
         ("bridge-report", SPAN_150, [{"type": "constant", "value": 100.0}],
          {"numerics": {"force": "false"}}, [], 1,
@@ -437,7 +443,9 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
-         "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel", "string-force", "boolean-sample", "string-sample",
+         "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel",
+         "overflowing-span-bound", "underflowing-zeta", "string-force", "boolean-sample",
+         "string-sample",
          "overflowing-integer-sample", "numeric-output-dir"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,

@@ -171,8 +171,8 @@ def test_standard_run_converges_certified(standard_run):
 
 
 def test_standard_run_iterate_maxima(standard_run):
-    al = standard_run.lower.iterates
-    be = standard_run.upper.iterates
+    al = standard_run.lower
+    be = standard_run.upper
     assert np.max(np.abs(al[1].y)) == pytest.approx(0.017964007135697395, rel=1e-10)
     assert np.max(np.abs(be[1].y)) == pytest.approx(0.05277631810671728, rel=1e-10)
     assert np.max(np.abs(al[2].y)) == pytest.approx(0.019380731868379887, rel=1e-10)
@@ -182,7 +182,7 @@ def test_standard_run_iterate_maxima(standard_run):
 def test_ordering_chain(standard_run):
     # alpha_{k-1} <= alpha_k <= beta_k <= beta_{k-1}, pointwise
     v = standard_run
-    al, be = v.lower.iterates, v.upper.iterates
+    al, be = v.lower, v.upper
     scale = 1e-9 * max(1.0, float(np.max(np.abs(be[0].y))))
     for k in range(1, len(al)):
         assert np.max(al[k - 1].y - al[k].y) <= scale
@@ -192,18 +192,27 @@ def test_ordering_chain(standard_run):
 
 def test_gap_bound_holds_at_every_iteration(standard_run):
     v = standard_run
-    al, be = v.lower.iterates, v.upper.iterates
+    al, be = v.lower, v.upper
     for n in range(min(len(al), len(be))):
         gap = float(np.max(np.abs(be[n].y - al[n].y)))
         assert gap <= v.gap_bounds[n] + 1e-12
 
 
 def _assert_gaps_are_bracket_widths(v):
-    al, be = v.lower.iterates, v.upper.iterates
+    al, be = v.lower, v.upper
     assert len(v.gaps) == len(al) == len(be) == v.iterations + 1
     for n, gap in enumerate(v.gaps):
         assert gap == float(np.max(np.abs(be[n].y - al[n].y)))
     assert v.final_gap == v.gaps[-1]
+
+
+def test_verdict_histories_are_tuples_from_the_pair(standard_pair):
+    v = run_monotone(standard_pair)
+    for history, start in ((v.lower, standard_pair.alpha), (v.upper, standard_pair.beta)):
+        assert type(history) is tuple
+        assert history[0] is start
+        assert len(history) == v.iterations + 1
+    assert v.final_lower is v.lower[-1] and v.final_upper is v.upper[-1]
 
 
 def test_verdict_gaps_are_the_bracket_widths(standard_run):
@@ -218,8 +227,8 @@ def test_verdict_gaps_are_kept_through_a_monotonicity_violation():
 
 
 def test_extremal_iterates_stay_nonnegative_concave(standard_run):
-    for trace in (standard_run.lower, standard_run.upper):
-        final = trace.iterates[-1]
+    for iterates in (standard_run.lower, standard_run.upper):
+        final = iterates[-1]
         assert np.min(final.y) >= -1e-12
         assert np.max(final.ypp) <= 1e-12
 
@@ -228,7 +237,7 @@ def test_converged_limit_is_grid_independent():
     vals = []
     for gp in (501, 2001):
         v = iterate_melan(standard_problem(), lam=LAM, grid_points=gp)
-        vals.append(np.max(np.abs(v.lower.iterates[-1].y)))
+        vals.append(np.max(np.abs(v.lower[-1].y)))
     assert vals[0] == pytest.approx(vals[1], abs=1e-6)
 
 
@@ -240,7 +249,7 @@ def test_limit_satisfies_nonlinear_equation(standard_run):
     # freeze the converged integral I*; the nonlinear equation then reduces
     # to the linear problem (M = a + b I*, N = 0, load = p - c I*), whose
     # closed-form solution must reproduce the limit and its integral
-    conv = standard_run.lower.iterates[-1]
+    conv = standard_run.lower[-1]
     i_star = conv.integral
     reduced = LinearProblem(
         M=0.1 + 0.1 * i_star,
@@ -270,7 +279,7 @@ def test_iteration_converges_from_arbitrary_admissible_starts(standard_pair, sta
     # the limit must not depend on the starting curve within the bracket
     problem = standard_problem()
     limit = 0.5 * (
-        standard_run.lower.iterates[-1].y + standard_run.upper.iterates[-1].y
+        standard_run.lower[-1].y + standard_run.upper[-1].y
     )
     for factor in (0.25, 0.6, 0.95):
         start = solve_linear(
@@ -330,8 +339,10 @@ def test_error_bounds_refuse_expansive_factor():
 def test_non_convergence_raises_with_traces(standard_pair):
     with pytest.raises(NotConverged) as exc:
         run_monotone(standard_pair, max_iter=2)
-    assert exc.value.lower is not None
-    assert exc.value.upper is not None
+    for history, start in ((exc.value.lower, standard_pair.alpha),
+                           (exc.value.upper, standard_pair.beta)):
+        assert type(history) is tuple and len(history) == 3
+        assert history[0] is start
 
 
 def test_non_convergence_tolerated_when_not_strict(standard_pair):
@@ -414,7 +425,7 @@ def test_array_records_compare_by_identity():
     solutions = [solve_linear(linear, grid_points=101) for _ in range(2)]
     run = run_monotone(pairs[0])
     for first, second in (pairs, solutions, (pairs[0].beta, other.beta),
-                          (run, run_monotone(pairs[1])), (run.lower, run.upper)):
+                          (run, run_monotone(pairs[1]))):
         assert first != second
         assert first == first and second == second
 
@@ -436,6 +447,16 @@ def test_diverging_forced_run_reports_the_divergence():
 def test_overflowing_sine_curvature_raises():
     with pytest.raises(NonFiniteSolution, match="curvature overflows"):
         make_sine_pair(standard_problem(), 1e308, 101)
+
+
+def test_overflowing_sine_model_raises_without_warning():
+    # finite curvature lam*(pi/L)**2 = 1e171, but lam*(pi/L)**4 overflows in
+    # numpy's product with the samples
+    problem = MelanProblem(0.1, 0.1, 0.1, 1e-70, LoadSpec((Constant(0.1),)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution, match="sine bound's model overflows"):
+            make_sine_pair(problem, 1e30, 11)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +500,8 @@ def test_every_sweep_rebuilds_from_a_fresh_load_sample(case):
     v = run_monotone(pair)
     assert v.certified and v.iterations >= 3
     a, b, c, L = problem.a, problem.b, problem.c, problem.L
-    for trace in (v.lower, v.upper):
-        for prev, got in zip(trace.iterates, trace.iterates[1:]):
+    for iterates in (v.lower, v.upper):
+        for prev, got in zip(iterates, iterates[1:]):
             F = (problem.load.evaluate(pair.grid, L)
                  + (a - pair.M + b * prev.integral) * prev.ypp
                  + (pair.N - c) * prev.integral)

@@ -14,13 +14,14 @@ MODULES = ["melan"] + [f"melan.{m.name}" for m in pkgutil.iter_modules(melan.__p
 
 # sorted(melan.__all__): the names the package exported before its list was
 # built from the module lists, less SolutionMeta (GridSolution.regime now),
-# MissingCableLength (a bridge without a cable length is refused when built)
-# and the sine-bracket record (check_sine_conditions returns (M, N) alone).
+# MissingCableLength (a bridge without a cable length is refused when built),
+# the sine-bracket record (check_sine_conditions returns (M, N) alone) and
+# the per-side history record (a run's lower and upper are tuples of iterates).
 SURFACE = [
     "Affine", "ApplicabilityReport", "BoundPair", "BoundUnavailable", "BridgeParams",
     "BridgeSolution", "ConditionReport", "ConfigError", "Constant", "Cubic",
     "EnvelopeViolation", "FdConfig", "GridSolution", "InvalidPair", "Iterate",
-    "IterationTrace", "KernelParams", "LinearOperator", "LinearProblem", "LoadSpec",
+    "KernelParams", "LinearOperator", "LinearProblem", "LoadSpec",
     "MelanError", "MelanProblem", "MonotoneVerdict",
     "MonotonicityViolation", "NewtonDiverged", "NonFiniteSolution", "NotApplicable",
     "NotContractive", "NotConverged", "Sampled", "SineHalfWave", "SineShape",
