@@ -247,7 +247,11 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     lam = L / 100.0
 
     M, N = check_sine_conditions(a, b, c, L, lam)
-    positivity = check_positivity(M, N, L)
+    try:
+        positivity = check_positivity(M, N, L)
+    except (OverflowError, ZeroDivisionError) as exc:  # sigma's x*x or L**3
+        raise ConfigError(f"the positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the float "
+                          f"range at span L = {L:.6g}") from exc
 
     coeff = 800.0 * r.n + np.pi**2
     try:
@@ -394,7 +398,7 @@ def solve_bridge(
         verdict = replace(verdict, certified=False, warnings=(outside, *verdict.warnings))
 
     deflection = GridSolution(
-        grid=verdict.grid,
+        grid=verdict.pair.grid,
         y=verdict.y,
         ypp=verdict.ypp,
         integral_y=verdict.integral_y,

@@ -317,10 +317,10 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
         return [float(np.max(np.abs(it.y))) for it in iterates]
 
     return {
-        "M": verdict.M,
-        "N": verdict.N,
-        "lambda": verdict.lam,
-        "rho": verdict.rho,
+        "M": verdict.pair.M,
+        "N": verdict.pair.N,
+        "lambda": verdict.pair.lam,
+        "rho": verdict.pair.rho,
         "status": verdict.status,
         "iterations": verdict.iterations,
         "certified": verdict.certified,
@@ -329,8 +329,8 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
         "gaps": list(verdict.gaps),
         "lower_maxima": maxima(verdict.lower),
         "upper_maxima": maxima(verdict.upper),
-        "positivity": asdict(verdict.positivity),
-        "uniqueness": asdict(verdict.uniqueness),
+        "positivity": asdict(verdict.pair.positivity),
+        "uniqueness": asdict(verdict.pair.uniqueness),
         "warnings": list(verdict.warnings),
     }
 
@@ -338,7 +338,7 @@ def _trace_payload(verdict: MonotoneVerdict) -> dict:
 def _write_trace_curves(out: Path, verdict: MonotoneVerdict) -> None:
     for side, iterates in (("lower", verdict.lower), ("upper", verdict.upper)):
         for k, it in enumerate(iterates):
-            _write_curve(out / f"{side}_{k}.csv", verdict.grid, it.y, it.ypp)
+            _write_curve(out / f"{side}_{k}.csv", verdict.pair.grid, it.y, it.ypp)
 
 
 def _run_iterate(config: dict, args) -> int:
@@ -372,7 +372,7 @@ def _run_iterate(config: dict, args) -> int:
     _write_json(out / "trace.json", _trace_payload(verdict))
     print(
         f"iterate: {verdict.status} after {verdict.iterations} sweeps"
-        f" (gap {verdict.final_gap:.6g}, rho {verdict.rho:.4g},"
+        f" (gap {verdict.final_gap:.6g}, rho {verdict.pair.rho:.4g},"
         f" certified {verdict.certified})"
     )
     return 0

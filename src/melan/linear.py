@@ -113,9 +113,12 @@ def _classify_regime(M: float, N: float, L: float) -> str:
     """
     if N >= 0.0:
         return "unconditional"
-    if abs(N) <= 8.0 * M / L**3:
-        return "small-coupling"
-    return "unverified"
+    try:
+        small = abs(N) <= 8.0 * M / L**3
+    except (OverflowError, ZeroDivisionError) as exc:  # L**3 leaves the float range
+        raise NonFiniteSolution(f"the coupling bound 8*M/L**3 leaves the float range "
+                                f"at L = {L:.6g}") from exc
+    return "small-coupling" if small else "unverified"
 
 
 # Largest exponent in one _running_sums block, far below overflow at 709.
@@ -326,14 +329,20 @@ def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None
 
     Lambda, the load moment, is the sum of the terms' moments.  Every term
     returns fresh arrays, so the first term's arrays start the sums in place.
+    A closed form's power or quotient leaving the float range, or sinh_frac's
+    ValueError when sqrt(M)*L underflows to 0, raises NonFiniteSolution.
     """
     first, *rest = load.terms
-    A_tot, B_tot, lam = _convolve_term(first, x, params, operator)
-    for term in rest:
-        A, B, lam_term = _convolve_term(term, x, params, operator)
-        A_tot += A
-        B_tot += B
-        lam += lam_term
+    try:
+        A_tot, B_tot, lam = _convolve_term(first, x, params, operator)
+        for term in rest:
+            A, B, lam_term = _convolve_term(term, x, params, operator)
+            A_tot += A
+            B_tot += B
+            lam += lam_term
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise NonFiniteSolution(f"a load term's closed form leaves the float range at "
+                                f"L = {params.L:.6g}, sqrt(M)*L = {params.muL:.6g}") from exc
     return A_tot, B_tot, lam
 
 

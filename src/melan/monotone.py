@@ -108,9 +108,9 @@ class BoundPair:
 
     alpha = 0 lies below and beta = lam*sin(pi*x/L) above, with the frozen
     coefficients (M, N) that make the pair a bracket, the linear `operator`
-    for them on the grid, the bracket's conditions as MonotoneVerdict
-    reports them, and `model`, the model's left side at beta.  `p` is the
-    problem's load on the grid, sampled once for every sweep of a run.
+    for them on the grid, the bracket's positivity and uniqueness reports
+    and contraction factor rho, and `model`, the model's left side at beta.
+    `p` is the problem's load on the grid, sampled once for every sweep.
     Every array is read-only: pairs with the same (a, b, c, L, lam, grid)
     share all but `problem` and `p`.
     """
@@ -132,30 +132,23 @@ class BoundPair:
 
 @dataclass(frozen=True, eq=False)
 class MonotoneVerdict:
-    """Outcome of the two-sided iteration.
+    """Outcome of the two-sided iteration from `pair`, the bracket it was given.
 
+    The pair holds the grid, (M, N), lam, rho and the bracket's conditions.
     After n sweeps the iterates are `lower[n]` and `upper[n]` (index 0
     holds the pair's own alpha and beta), `gaps[n]` is the observed bracket
     width max|beta_n - alpha_n|, and `gap_bounds[n]` its a-priori sup-norm
     bound (L**2/4)*rho**n times the initial curvature gap (rho clamped at
     zero).  `certified` is True only for a clean run: ordered, monotone,
-    converged, with the bracket and positivity conditions verified.
-    `uniqueness` reports the strict condition under which the bracket pins
-    down a single solution; it does not affect certification of the
-    bracket itself.
+    converged, with the bracket and positivity conditions verified.  The
+    pair's uniqueness report does not affect certification of the bracket.
     """
 
+    pair: BoundPair
     lower: Tuple[Iterate, ...]
     upper: Tuple[Iterate, ...]
-    grid: np.ndarray
-    M: float
-    N: float
-    lam: float
-    rho: float
     gaps: Tuple[float, ...]
     gap_bounds: Tuple[float, ...]
-    positivity: ConditionReport
-    uniqueness: ConditionReport
     status: str
     iterations: int
     certified: bool
@@ -464,17 +457,11 @@ def run_monotone(
         warnings.append(f"stopped with {stopped} (tolerance {tol:.6g})")
 
     return MonotoneVerdict(
+        pair=pair,
         lower=lower,
         upper=upper,
-        grid=pair.grid,
-        M=pair.M,
-        N=pair.N,
-        lam=pair.lam,
-        rho=pair.rho,
         gaps=tuple(gaps),
         gap_bounds=tuple(gap_bounds),
-        positivity=pair.positivity,
-        uniqueness=pair.uniqueness,
         status=status,
         iterations=iterations,
         certified=status == "converged" and not warnings,
@@ -494,15 +481,12 @@ def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
     """
     if n < 0:
         raise ValueError(f"iteration index must be nonnegative, got {n}")
-    rho = verdict.rho
-    if not (rho < 1.0):
-        raise BoundUnavailable(
-            f"contraction factor rho = {rho:.6g} is not below 1"
-        )
-    alpha0, beta0 = verdict.lower[0], verdict.upper[0]
-    gap0_pp = float(np.max(np.abs(alpha0.ypp - beta0.ypp)))
-    gap_bound = _gap_bound(float(verdict.grid[-1]), rho, n, gap0_pp)
-    a_priori = gap_bound / (1.0 - rho)
+    pair = verdict.pair
+    if not (pair.rho < 1.0):
+        raise BoundUnavailable(f"contraction factor rho = {pair.rho:.6g} is not below 1")
+    gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
+    gap_bound = _gap_bound(pair.problem.L, pair.rho, n, gap0_pp)
+    a_priori = gap_bound / (1.0 - pair.rho)
     return a_priori, gap_bound
 
 

@@ -321,7 +321,7 @@ def test_criterion_10_oracle_equivalence(run_51, run_62):
     # 5e-4 relative discretization budget
     problem, v51 = run_51
     nl = fd_solve_nonlinear(problem, FdConfig(points=2001, newton_tol=5e-5))
-    grid = v51.grid
+    grid = v51.pair.grid
     w = np.interp(grid, nl.grid, nl.y)
     slack = 5e-4 * float(np.max(np.abs(nl.y)))
     for k, it in enumerate(v51.lower):
@@ -337,7 +337,7 @@ def test_criterion_10_oracle_equivalence(run_51, run_62):
                        load=LoadSpec((Constant(200.0 / bp.EI),)))
     nl62 = fd_solve_nonlinear(p62, FdConfig(points=2001, newton_tol=1e-9,
                                             damping=1.0))
-    grid = run_62.monotone.grid
+    grid = run_62.monotone.pair.grid
     w = np.interp(grid, nl62.grid, nl62.y)
     slack = 5e-4 * float(np.max(np.abs(nl62.y)))
     for k, it in enumerate(run_62.monotone.lower):

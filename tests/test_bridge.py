@@ -20,6 +20,7 @@ import melan.criteria
 import melan.linear
 import melan.monotone
 from melan import (
+    Affine,
     BridgeParams,
     Constant,
     LinearProblem,
@@ -28,6 +29,7 @@ from melan import (
     Sampled,
     SineHalfWave,
     SineShape,
+    SinhTerm,
     applicability,
     cable_length,
     check_positivity,
@@ -303,7 +305,7 @@ def test_forced_run_span_460_reports_violation():
     v = result.monotone
     assert v.status == "monotonicity-violation"
     assert not v.certified
-    assert v.rho == pytest.approx(50.480858854971856, rel=1e-6)
+    assert v.pair.rho == pytest.approx(50.480858854971856, rel=1e-6)
     assert len(v.warnings) > 0
     assert np.max(np.abs(v.lower[1].y)) == pytest.approx(
         0.22283716440817525, rel=1e-9)
@@ -382,7 +384,7 @@ def test_run_and_report_share_one_positivity_check():
         load = LoadSpec((Constant(0.5 * rep.envelope_const),
                          SineHalfWave(0.5 * rep.envelope_sine)))
         result = solve_bridge(bp, load, grid_points=101)
-        assert result.monotone.positivity == result.report.positivity
+        assert result.monotone.pair.positivity == result.report.positivity
         checked += 1
 
 
@@ -462,6 +464,15 @@ def _constant_solve(M):
     return solve_linear(LinearProblem(M=M, N=0.0, L=1.0, load=LoadSpec((Constant(1.0),))))
 
 
+def _grid_11_solve(case):
+    M, N, L, term = case
+    return solve_linear(LinearProblem(M=M, N=N, L=L, load=LoadSpec((term,))), grid_points=11)
+
+
+def _bridge_check(bridge):
+    return applicability(BridgeParams(**bridge))
+
+
 @pytest.mark.parametrize(
     "run, value, error, message",
     [
@@ -472,6 +483,21 @@ def _constant_solve(M):
           for L in (1e80, 1e100, 1e-80, 1e-100)],
         *[(_constant_solve, M, NonFiniteSolution, f"zeta's denominator underflows at M = {M:.6g}")
           for M in (1e-150, 1e-200, 1e-300)],
+        # L**3 underflows in the coupling bound of _classify_regime
+        (_grid_11_solve, (1.0, -1e-8, 5e-324, Constant(1.0)), NonFiniteSolution,
+         "coupling bound 8*M/L**3 leaves the float range at L = 4.94066e-324"),
+        # the sine term's L**2, the sinh term's rate**2, and sinh_frac at sqrt(M)*L = 0
+        (_grid_11_solve, (1.0, 0.1, 1e-300, SineHalfWave(1.0)), NonFiniteSolution,
+         "leaves the float range at L = 1e-300, sqrt(M)*L = 1e-300"),
+        (_grid_11_solve, (1.0, 0.1, 1.0, SinhTerm(1.0, 1e308)), NonFiniteSolution,
+         "leaves the float range at L = 1, sqrt(M)*L = 1"),
+        (_grid_11_solve, (1e-10, 0.0, 5e-324, Affine(1.0, 1.0)), NonFiniteSolution,
+         "sqrt(M)*L = 0"),
+        # sigma's x*x underflows; n = 0.11 in place of the CLI case's q, whose
+        # sag ratio 1.15 would warn first
+        (_bridge_check, {"L": 1.2e-8, "EI": 1e308, "EcAc": 6.4e-9, "H": 3.2e-4, "n": 0.11},
+         ConfigError, "positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the float range "
+         "at span L = 1.2e-08"),
     ],
     ids=lambda arg: arg.__name__.lstrip("_") if callable(arg) else None,
 )
@@ -573,7 +599,7 @@ def assert_same_run(first, second):
         for x, y in zip(a, b):
             assert np.array_equal(x.y, y.y) and np.array_equal(x.ypp, y.ypp)
             assert x.integral == y.integral
-    assert np.array_equal(v.grid, w.grid)
+    assert np.array_equal(v.pair.grid, w.pair.grid)
     assert v.gaps == w.gaps and v.gap_bounds == w.gap_bounds
     assert first.h_w == second.h_w
     assert first.report == second.report
@@ -600,7 +626,7 @@ def test_alternating_bridges_get_their_own_results():
             run = solve_bridge(bp, LIVE_LOADS[1], grid_points=201)
             assert_same_run(run, ref)
             # the bracket is this bridge's own: the report's frozen (M, N)
-            assert (run.monotone.M, run.monotone.N) == (run.report.M, run.report.N)
+            assert (run.monotone.pair.M, run.monotone.pair.N) == (run.report.M, run.report.N)
     assert cold[0].report.a != cold[1].report.a
 
 
@@ -615,7 +641,7 @@ def test_each_memo_holds_one_read_only_entry():
     report, x, bound = melan.bridge._bridge_facts(span_100())
     pair = make_sine_pair(MelanProblem(report.a, report.b, report.c, 100.0, LIVE_LOADS[0]),
                           report.lam, 101)
-    for arr in (x, bound, sol.monotone.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
+    for arr in (x, bound, sol.monotone.pair.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
                 pair.beta.y, pair.beta.ypp, pair.model, pair.p):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

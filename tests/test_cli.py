@@ -394,6 +394,9 @@ SPAN_100_BEAM = {"L": 100.0, "EI": 4.557e8, "EcAc": 4121700.0}
 LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
 
 
+GRID_11 = {"numerics": {"grid_points": 11}}
+
+
 @pytest.mark.parametrize(
     "mode, problem, load, blocks, flags, code, message",
     [
@@ -425,6 +428,22 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
         ("solve-linear", {"M": 1e-150, "N": 0.0, "L": 1.0},
          [{"type": "constant", "value": 1.0}], {}, [], 3,
          "numerical failure: zeta's denominator underflows at M = 1e-150"),
+        # L**3, the sine term's L**2 and the sinh term's rate**2 leave the float
+        # range, sqrt(M)*L underflows to 0 under sinh_frac, and sigma's x*x to 0
+        ("solve-linear", {"M": 1.0, "N": -1e-8, "L": 5e-324},
+         [{"type": "constant", "value": 1.0}], GRID_11, [], 3,
+         "numerical failure: the coupling bound 8*M/L**3 leaves the float range"),
+        ("solve-linear", {"M": 1.0, "N": 0.1, "L": 1e-300},
+         [{"type": "sine", "amplitude": 1.0}], GRID_11, [], 3,
+         "numerical failure: a load term's closed form leaves the float range at L = 1e-300"),
+        ("solve-linear", {"M": 1.0, "N": 0.1, "L": 1.0},
+         [{"type": "sinh", "coef": 1.0, "rate": 1e308}], GRID_11, [], 3,
+         "numerical failure: a load term's closed form leaves the float range"),
+        ("solve-linear", {"M": 1e-10, "N": 0.0, "L": 5e-324},
+         [{"type": "affine", "c0": 1.0, "c1": 1.0}], GRID_11, [], 3, "sqrt(M)*L = 0"),
+        ("check", {"L": 1.2e-8, "EI": 1e308, "EcAc": 6.4e-9, "H": 3.2e-4, "q": 244270.3},
+         [], {}, [], 1, "error: the positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the "
+         "float range at span L = 1.2e-08"),
         # a refused bridge (span-150) must not be forced by a truthy string
         ("bridge-report", SPAN_150, [{"type": "constant", "value": 100.0}],
          {"numerics": {"force": "false"}}, [], 1,
@@ -444,7 +463,9 @@ LINEAR = {"M": 1.0, "N": 1.0, "L": 2.0}
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
          "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel",
-         "overflowing-span-bound", "underflowing-zeta", "string-force", "boolean-sample",
+         "overflowing-span-bound", "underflowing-zeta", "underflowing-coupling-bound",
+         "underflowing-sine-term", "overflowing-sinh-rate", "underflowing-sinh-argument",
+         "underflowing-sigma", "string-force", "boolean-sample",
          "string-sample",
          "overflowing-integer-sample", "numeric-output-dir"],
 )

@@ -166,7 +166,7 @@ def test_standard_run_converges_certified(standard_run):
     assert v.certified
     assert v.iterations == 7
     assert v.warnings == () or list(v.warnings) == []
-    assert v.rho == pytest.approx(0.45747891806452123, rel=1e-12)
+    assert v.pair.rho == pytest.approx(0.45747891806452123, rel=1e-12)
     assert v.final_gap < 1e-8
 
 
@@ -311,7 +311,18 @@ def test_error_bounds_identities(standard_run):
         ap, gap = error_bounds(v, n)
         assert gap == v.gap_bounds[n]
         # a_priori = gap / (1 - rho), exactly
-        assert ap * (1.0 - v.rho) == pytest.approx(gap, rel=1e-12)
+        assert ap * (1.0 - v.pair.rho) == pytest.approx(gap, rel=1e-12)
+
+
+def test_verdict_refers_to_its_pair(standard_pair):
+    # The verdict keeps the bracket it ran from, not copies of its facts.
+    v = run_monotone(standard_pair)
+    assert v.pair is standard_pair
+    assert v.lower[0] is v.pair.alpha and v.upper[0] is v.pair.beta
+    for name in ("grid", "M", "N", "lam", "rho", "positivity", "uniqueness"):
+        assert not hasattr(v, name)
+    for n in range(v.iterations + 1):
+        assert error_bounds(v, n)[1] == v.gap_bounds[n]
 
 
 def test_error_bounds_initial_gap(standard_run, standard_pair):
@@ -364,7 +375,7 @@ def test_uncertifiable_run_reports_violation_when_forced():
     v = run_monotone(pair, max_iter=8, strict=False)
     assert v.status == "monotonicity-violation"
     assert not v.certified
-    assert v.rho > 1.0
+    assert v.pair.rho > 1.0
     assert len(v.warnings) > 0
 
 
@@ -373,7 +384,7 @@ def test_default_amplitude_is_span_over_hundred():
     # amplitude is L/100
     gentle = MelanProblem(a=0.1, b=0.1, c=0.1, L=2.0, load=LoadSpec((Constant(0.001),)))
     v = iterate_melan(gentle, grid_points=501)
-    assert v.lam == pytest.approx(0.02, rel=1e-13)
+    assert v.pair.lam == pytest.approx(0.02, rel=1e-13)
     assert v.status == "converged"
 
 
