@@ -28,7 +28,7 @@ import numpy as np
 
 from .bridge import ApplicabilityReport, BridgeParams, applicability, solve_bridge
 from .criteria import ConditionReport
-from .errors import ConfigError, EnvelopeViolation, MelanError, NotApplicable
+from .errors import ConfigError, EnvelopeViolation, MelanError, NonFiniteSolution, NotApplicable
 from .linear import LinearProblem, residual, solve_linear
 from .loads import Affine, Constant, Cubic, LoadSpec, Sampled, SineHalfWave, SinhTerm
 from .monotone import MelanProblem, MonotoneVerdict, iterate_melan
@@ -175,7 +175,12 @@ def _write_curve(path: Path, grid: np.ndarray, y: np.ndarray, ypp: np.ndarray) -
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write standard JSON; each mode calls this before writing any other file."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # NaN or an infinity
+        raise NonFiniteSolution(f"{path.name} would hold a non-finite number") from exc
+    path.write_text(text + "\n")
 
 
 def _applicability_payload(report: ApplicabilityReport) -> dict:
@@ -266,7 +271,6 @@ def _run_solve_linear(config: dict, args) -> int:
 
     sol = solve_linear(problem, grid_points=num["grid_points"])
     res = residual(sol, problem)
-    _write_curve(out / "solution.csv", sol.grid, sol.y, sol.ypp)
     summary = {
         "M": problem.M,
         "N": problem.N,
@@ -279,6 +283,7 @@ def _run_solve_linear(config: dict, args) -> int:
         "residual": res,
     }
     _write_json(out / "summary.json", summary)
+    _write_curve(out / "solution.csv", sol.grid, sol.y, sol.ypp)
     print(f"solve-linear: wrote {out / 'solution.csv'}")
     print(
         f"  max |y| = {summary['max_abs_y']:.8g}, integral = "
@@ -368,8 +373,8 @@ def _run_iterate(config: dict, args) -> int:
         tol=num["tol"],
         strict=not num["force"],
     )
-    _write_trace_curves(out, verdict)
     _write_json(out / "trace.json", _trace_payload(verdict))
+    _write_trace_curves(out, verdict)
     print(
         f"iterate: {verdict.status} after {verdict.iterations} sweeps"
         f" (gap {verdict.final_gap:.6g}, rho {verdict.pair.rho:.4g},"

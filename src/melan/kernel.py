@@ -14,6 +14,7 @@ subtractive cancellation for small sqrt(M)*L switch to explicit series.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,39 +182,23 @@ def psi(x, params: KernelParams):
     return _row_integrals(_clip_domain(x, params.L), params)[0]
 
 
-def _gap_to_tanh(z: float) -> float:
-    """z - 2*tanh(z/2), with a series below z = 0.1 to defeat cancellation."""
-    if z >= 0.1:
-        return z - 2.0 * np.tanh(0.5 * z)
-    z2 = z * z
-    return z * z2 * (
-        1.0 / 12.0
-        + z2 * (-1.0 / 120.0 + z2 * (17.0 / 20160.0 - z2 * 31.0 / 362880.0))
-    )
-
-
 def zeta(params: KernelParams) -> float:
     """Double integral of g over [0, L]^2.
 
     Equals (z^3 - 12 z + 24 tanh(z/2))/(12 M^2 mu) with z = mu*L; below
-    z = 0.25 the bracket is evaluated by its series to preserve accuracy.
+    z = 0.25 it is L^5/12 times the series of that bracket over z^5, which
+    preserves accuracy and forms no power of M or z that could underflow.
+    Raises ZeroDivisionError when 12 M^2 mu is not a normal float (M below
+    about 3.2e-124), the closed form's denominator underflowing.
     """
     z = params.muL
+    denom = 12.0 * params.M**2 * params.mu
+    if denom < sys.float_info.min:
+        raise ZeroDivisionError(f"zeta's denominator 12*M**2*sqrt(M) = {denom:.3g} underflows")
     if z >= 0.25:
-        bracket = z**3 - 12.0 * z + 24.0 * np.tanh(0.5 * z)
-    else:
-        z2 = z * z
-        bracket = z2 * z2 * z * (
-            1.0 / 10.0
-            + z2 * (
-                -17.0 / 1680.0
-                + z2 * (
-                    31.0 / 30240.0
-                    + z2 * (
-                        -691.0 / 6652800.0
-                        + z2 * (5461.0 / 518918400.0 - z2 * 929569.0 / 871796224000.0)
-                    )
-                )
-            )
-        )
-    return bracket / (12.0 * params.M**2 * params.mu)
+        return (z**3 - 12.0 * z + 24.0 * np.tanh(0.5 * z)) / denom
+    z2 = z * z
+    series = 5461.0 / 518918400.0 - z2 * 929569.0 / 871796224000.0
+    for c in (-691.0 / 6652800.0, 31.0 / 30240.0, -17.0 / 1680.0, 1.0 / 10.0):
+        series = c + z2 * series
+    return params.L**5 / 12.0 * series

@@ -8,19 +8,23 @@ where integral(y) is the total integral of y over the span (a single scalar
 coupling, not a pointwise term).  Writing I = integral(y), the load seen by
 the plain beam operator is p - N*I, so
 
-    y = (B - A)/M - N*I*psi,      I = Lambda / (1 + N*zeta),
+    y = y_p - N*I*psi,      I = Lambda / (1 + N*zeta),
 
-with A and B the convolutions of the load against the two second-order
-kernels, Lambda the load moment (the integral of p*psi, as g is symmetric),
-and psi/zeta the kernel row and double integrals.  Analytic load shapes
-have A, B and Lambda in closed form; sampled loads use Simpson sums over
-their own nodes: of p*psi for Lambda, and against both kernels for A and B,
-in O(n) time and memory from the kernels' semiseparable structure: per
-direction one complex prefix sum (gm + 1j*g0) over coefficients that fold
-in every per-node factor once per LinearOperator.
+with y_p the particular deflection (y_p'''' - M y_p'' = p, hinged ends),
+Lambda the load moment (the integral of p*psi, as g is symmetric), and
+psi/zeta the kernel row and double integrals.  Each load term gives its own
+(A, y_p, Lambda), A being its convolution against the kernel of -d2/dx2 + M.
+A constant v is exactly v*(gm_row_integral, psi, zeta) and a half sine has
+cancellation-free forms; the other analytic terms form y_p = (B - A)/M, B
+being the convolution against the kernel of -d2/dx2.  Sampled loads use
+Simpson sums over their own nodes: of p*psi for Lambda, and against both
+kernels for A and B, in O(n) time and memory from the kernels'
+semiseparable structure: per direction one complex prefix sum
+(gm + 1j*g0) over coefficients that fold in every per-node factor once per
+LinearOperator.
 
 Second derivatives are assembled from the same convolutions (never by
-differencing y): (d2/dx2)[(B-A)/M] = -A and (d2/dx2)psi = -gm_row_integral.
+differencing y): y_p'' = -A and (d2/dx2)psi = -gm_row_integral.
 LinearOperator holds everything that does not depend on the load, so
 repeated solves with fixed (M, N, L, grid) pay only for the convolutions.
 """
@@ -37,7 +41,6 @@ from .errors import NonFiniteSolution, NotContractive, SingularResonance
 from .kernel import (
     KernelParams,
     _clip_domain,
-    _gap_to_tanh,
     _row_integrals,
     gm_row_integral,
     psi,
@@ -240,30 +243,32 @@ class _SampledProfile:
 
 
 def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
-    """Convolutions of one load term with the two second-order kernels.
+    """One load term's (A, y_p, Lambda) at the positions x.
 
-    Returns (A, B, Lambda): A(x) solves -A'' + M*A = p with zero ends,
-    B(x) solves -B'' = p with zero ends, and Lambda is the load moment.
-    Analytic terms are closed forms (Lambda from the integrals of A and B);
-    Sampled terms are Simpson sums over the samples (O(n), see _SampledProfile).
-    A LinearOperator whose grid is x supplies its gm_row_integral(x) and
-    its _SampledProfile for ns samples; without one, both are built here.
+    A(x) solves -A'' + M*A = p with zero ends, y_p is the term's particular
+    deflection (y_p'''' - M*y_p'' = p, hinged ends; y_p'' = -A) and Lambda its
+    load moment.  Affine, Cubic and SinhTerm form y_p = (B - A)/M (-B'' = p),
+    losing about eps/(sqrt(M)*L)**2 as sqrt(M)*L falls, eps/(sqrt(M)*L)**4 for
+    Affine.  A LinearOperator whose grid is x supplies its profiles, zeta and
+    _SampledProfile for ns samples; without one, they are computed here.
     """
+    M, L, mu, muL = params.M, params.L, params.mu, params.muL
+
     # Sampled first: every sweep of a monotone run solves one.
     if isinstance(term, Sampled):
         ns = term.values.size
         profile = _SampledProfile(params, ns, x) if operator is None else operator._profile_for(ns)
-        return profile.convolve(term.values)
-
-    M, L, mu, muL = params.M, params.L, params.mu, params.muL
+        A, B, lam = profile.convolve(term.values)
+        y_p = np.subtract(B, A)
+        y_p /= M
+        return A, y_p, lam
 
     if isinstance(term, Constant):
-        v = term.value
-        A = v * (gm_row_integral(x, params) if operator is None else operator.gm_row)
-        B = v * x * (L - x) / 2.0
-        intA = v * _gap_to_tanh(muL) / (M * mu)
-        intB = v * L**3 / 12.0
-        return A, B, (intB - intA) / M
+        if operator is None:
+            profiles = gm_row_integral(x, params), psi(x, params), zeta(params)
+        else:
+            profiles = operator.gm_row, operator.psi, operator.zeta
+        return tuple(term.value * f for f in profiles)
 
     if isinstance(term, Affine):
         c0, c1 = term.c0, term.c1
@@ -271,18 +276,14 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         q0 = c0 / M
         A = (c0 + c1 * x) / M - qL * sinh_frac(mu * x, muL) - q0 * sinh_frac(mu * (L - x), muL)
         B = c0 * x * (L - x) / 2.0 + c1 * x * (L**2 - x**2) / 6.0
-        intA = (c0 + c1 * L / 2.0) * _gap_to_tanh(muL) / (M * mu)
-        intB = c0 * L**3 / 12.0 + c1 * L**4 / 24.0
-        return A, B, (intB - intA) / M
+        # psi is symmetric about L/2, so the integral of x*psi is L/2 times zeta.
+        z = zeta(params) if operator is None else operator.zeta
+        return A, (B - A) / M, (c0 + c1 * L / 2.0) * z
 
     if isinstance(term, SineHalfWave):
-        amp = term.amplitude
-        shape = np.sin(np.pi * x / L)
-        A = amp * shape / (M + np.pi**2 / L**2)
-        B = amp * (L / np.pi) ** 2 * shape
-        intA = amp * (2.0 * L / np.pi) / (M + np.pi**2 / L**2)
-        intB = 2.0 * amp * L**3 / np.pi**3
-        return A, B, (intB - intA) / M
+        k2 = np.pi**2 / L**2
+        A = term.amplitude * np.sin(np.pi * x / L) / (M + k2)
+        return A, A / k2, term.amplitude * (2.0 * L / np.pi) / (M + k2) / k2
 
     if isinstance(term, Cubic):
         c3 = term.c3
@@ -293,7 +294,7 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         int_q = c3 * (L**4 / (4.0 * M) + 3.0 * L**2 / M**2)
         intA = int_q - qL * np.tanh(0.5 * muL) / mu
         intB = c3 * L**6 / 60.0
-        return A, B, (intB - intA) / M
+        return A, (B - A) / M, (intB - intA) / M
 
     if isinstance(term, SinhTerm):
         coef, r = term.coef, term.rate
@@ -319,31 +320,32 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
             raise NonFiniteSolution(
                 f"sinh load term (rate {r:.6g}) overflows over the span {L:.6g}"
             )
-        return A, B, (intB - intA) / M
+        return A, (B - A) / M, (intB - intA) / M
 
     raise TypeError(f"unsupported load term {type(term).__name__}")
 
 
 def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None):
-    """Sum the per-term convolutions: (A_tot, B_tot, Lambda) on the positions x.
+    """Sum the per-term results: (A_tot, y_p, Lambda) on the positions x.
 
-    Lambda, the load moment, is the sum of the terms' moments.  Every term
-    returns fresh arrays, so the first term's arrays start the sums in place.
-    A closed form's power or quotient leaving the float range, or sinh_frac's
-    ValueError when sqrt(M)*L underflows to 0, raises NonFiniteSolution.
+    y_p, the particular deflection, and Lambda, the load moment, are the sums
+    of the terms' own; B is never summed.  Every term returns fresh arrays, so
+    the first term's arrays start the sums in place.  A closed form's power or
+    quotient leaving the float range, or sinh_frac's ValueError when
+    sqrt(M)*L underflows to 0, raises NonFiniteSolution.
     """
     first, *rest = load.terms
     try:
-        A_tot, B_tot, lam = _convolve_term(first, x, params, operator)
+        A_tot, y_p, lam = _convolve_term(first, x, params, operator)
         for term in rest:
-            A, B, lam_term = _convolve_term(term, x, params, operator)
+            A, y_term, lam_term = _convolve_term(term, x, params, operator)
             A_tot += A
-            B_tot += B
+            y_p += y_term
             lam += lam_term
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise NonFiniteSolution(f"a load term's closed form leaves the float range at "
                                 f"L = {params.L:.6g}, sqrt(M)*L = {params.muL:.6g}") from exc
-    return A_tot, B_tot, lam
+    return A_tot, y_p, lam
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -403,19 +405,19 @@ class LinearOperator:
         return self._profile
 
     def assemble(self, load: LoadSpec):
-        """(A_tot, B_tot, Lambda) of the load on the operator's grid."""
+        """(A_tot, y_p, Lambda) of the load on the operator's grid."""
         return _assemble(load, self.grid, self.params, self)
 
     def solve(self, load: LoadSpec) -> GridSolution:
         """Solve the linear model for `load`: I = Lambda/(1 + N*zeta), then finish."""
-        A_tot, B_tot, lam = self.assemble(load)
+        A_tot, y_p, lam = self.assemble(load)
         integral_y = lam / self.denom
-        return self.finish(A_tot, B_tot, self.N * integral_y, integral_y)
+        return self.finish(A_tot, y_p, self.N * integral_y, integral_y)
 
-    def finish(self, A_tot, B_tot, coupled, integral_y) -> GridSolution:
-        """The grid solution from the summed convolutions and the coupling term.
+    def finish(self, A_tot, y_p, coupled, integral_y) -> GridSolution:
+        """The grid solution from the summed terms and the coupling term.
 
-        y = (B - A)/M - coupled*psi and y'' = -A + coupled*gm_row_integral,
+        y = y_p - coupled*psi and y'' = -A + coupled*gm_row_integral,
         where `coupled` is N times the integral fed back through the coupling:
         integral_y itself for a full solve, a partial sum for Picard.  y and
         y'' are the two rows of one (2, n) array.  Raises NonFiniteSolution
@@ -423,9 +425,8 @@ class LinearOperator:
         """
         rows = np.empty((2, self.grid_points))
         y, ypp = rows
-        np.subtract(B_tot, A_tot, out=y)
-        y /= self.M
-        y -= coupled * self.psi
+        np.multiply(coupled, self.psi, out=y)
+        np.subtract(y_p, y, out=y)
         np.multiply(coupled, self.gm_row, out=ypp)
         ypp -= A_tot
         # Hinged-end conditions hold exactly in the closed forms; pin them to 0.
@@ -447,8 +448,7 @@ def gp_convolution(x, problem: LinearProblem):
     NonFiniteSolution when any value is NaN or infinite.
     """
     arr = _clip_domain(np.atleast_1d(x), problem.L)
-    A_tot, B_tot, _ = _assemble(problem.load, arr, KernelParams(problem.M, problem.L))
-    out = (B_tot - A_tot) / problem.M
+    _, out, _ = _assemble(problem.load, arr, KernelParams(problem.M, problem.L))
     if not np.isfinite(out).all():
         raise NonFiniteSolution("convolution of the load is not finite")
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
@@ -514,11 +514,11 @@ def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> G
             f"|N*zeta| = {abs(d):.6g} >= 1: the fixed-point iteration diverges"
         )
     operator = LinearOperator(problem.M, problem.N, problem.L, grid_points)
-    A_tot, B_tot, lam = operator.assemble(problem.load)
+    A_tot, y_p, lam = operator.assemble(problem.load)
     # Partial sums of the geometric series in (-d).
     s_prev = sum((-d) ** j for j in range(n))
     s_n = s_prev + (-d) ** n
-    return operator.finish(A_tot, B_tot, problem.N * lam * s_prev, float(lam * s_n))
+    return operator.finish(A_tot, y_p, problem.N * lam * s_prev, float(lam * s_n))
 
 
 def residual(solution: GridSolution, problem: LinearProblem) -> float:
@@ -528,7 +528,8 @@ def residual(solution: GridSolution, problem: LinearProblem) -> float:
     second-difference stencil to the stored second derivative (and M y'' by
     applying it to y), so the check is independent of how y and y'' were
     assembled while avoiding the noise amplification of a direct five-point
-    fourth difference.  The nonlocal term uses the solution's stored integral.
+    fourth difference.  The nonlocal term is N times the Simpson integral of
+    y, so a y inconsistent with its stored integral shows (at N = 0 none can).
     Raises NonFiniteSolution when the defect is not finite.
     """
     x, y, ypp = solution.grid, solution.y, solution.ypp
@@ -548,7 +549,7 @@ def residual(solution: GridSolution, problem: LinearProblem) -> float:
         defect = (
             second_diff(ypp)
             - problem.M * second_diff(y)
-            + problem.N * solution.integral_y
+            + problem.N * float(simpson_weights(m, h) @ y)
             - p_vals[2:-2]
         )
         scale = max(1.0, float(np.max(np.abs(p_vals))))

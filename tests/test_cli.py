@@ -51,6 +51,19 @@ def test_solve_linear_second_benchmark(tmp_path):
     assert summary["max_abs_y"] == pytest.approx(0.6221525998101097, rel=1e-12)
 
 
+@pytest.mark.parametrize("M", [1e-20, 1e-100])
+def test_solve_linear_soft_regime_reaches_the_stiffless_limit(tmp_path, M):
+    # unit load, N = L = 1: as M -> 0, y = (1 - I)*x(1 - x)(1 + x - x**2)/24
+    # with I = zeta/(1 + zeta) = 1/121, so max |y| = (120/121)*(5/384)
+    cfg = write_config(tmp_path / "soft.json", {"problem": {"M": M, "N": 1.0, "L": 1.0},
+                                                "load": [{"type": "constant", "value": 1.0}]})
+    assert main(["solve-linear", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["max_abs_y"] == pytest.approx(600.0 / 46464.0, rel=1e-12)
+    assert summary["integral_y"] == pytest.approx(1.0 / 121.0, rel=1e-12)
+    assert summary["residual"] < 1e-8
+
+
 def test_solve_linear_deterministic_output(tmp_path):
     a_dir = tmp_path / "a"
     b_dir = tmp_path / "b"
@@ -459,6 +472,11 @@ GRID_11 = {"numerics": {"grid_points": 11}}
         ("solve-linear", LINEAR, [{"type": "constant", "value": 1.0}],
          {"output": {"dir": 123}}, [], 1,
          "error: config field 'output.dir': expected a path string, got 123"),
+        # the positivity bound's true value leaves the float range: its rhs is
+        # inf and its margin NaN, which standard JSON cannot hold
+        ("iterate", {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.95e-64},
+         [{"type": "sine", "amplitude": 0.1}], GRID_11, [], 3,
+         "numerical failure: trace.json would hold a non-finite number"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
@@ -467,7 +485,7 @@ GRID_11 = {"numerics": {"grid_points": 11}}
          "underflowing-sine-term", "overflowing-sinh-rate", "underflowing-sinh-argument",
          "underflowing-sigma", "string-force", "boolean-sample",
          "string-sample",
-         "overflowing-integer-sample", "numeric-output-dir"],
+         "overflowing-integer-sample", "numeric-output-dir", "non-finite-trace"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
                                            blocks, flags, code, message):

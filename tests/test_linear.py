@@ -8,9 +8,11 @@ The two named benchmarks used throughout:
   the pure constant-load closed form y = p*Psi(x)/(1 + N*zeta).
 """
 
+import math
 import tracemalloc
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from melan import (
     Affine,
     Constant,
     Cubic,
+    GridSolution,
     KernelParams,
     LinearOperator,
     LinearProblem,
@@ -38,7 +41,7 @@ from melan import (
     zeta,
 )
 from melan.errors import NonFiniteSolution, NotContractive, SingularResonance
-from melan.linear import _convolve_term
+from melan.linear import _SampledProfile
 from melan.quadrature import simpson_weights, uniform_grid
 
 C0 = 2.75 - 6.0 * np.tanh(0.5)  # affine intercept of benchmark A
@@ -374,7 +377,7 @@ def test_sampled_convolution_matches_dense_simpson_sum(muL, ns, positions):
         x = uniform_grid(L, 501)
     else:
         x = rng.permutation(np.concatenate(([0.0, L], rng.uniform(0.0, L, 35))))
-    A, B, _ = _convolve_term(Sampled(values), x, KernelParams(M, L))
+    A, B, _ = _SampledProfile(KernelParams(M, L), ns, x).convolve(values)
     A_ref, B_ref = dense_simpson_convolutions(values, x, M, L)
     assert np.max(np.abs(A - A_ref)) <= 1e-12 * np.max(np.abs(A_ref))
     assert np.max(np.abs(B - B_ref)) <= 1e-12 * np.max(np.abs(B_ref))
@@ -565,6 +568,82 @@ def test_zero_load_gives_zero_solution():
     sol = solve_linear(pr, grid_points=101)
     assert np.all(sol.y == 0.0)
     assert np.all(sol.ypp == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# accuracy for every sqrt(M)*L, against an 80-digit reference
+
+
+def exact_linear(M, N, L, xs, c0=0.0, c1=0.0, amp=0.0):
+    """(y, y'', I) of y'''' - M*y'' + N*I = c0 + c1*x + amp*sin(pi*x/L) at xs.
+
+    y'' = u solves u'' - M*u = p - N*I with zero ends.  With r = c0 - N*I and
+    k = pi/L, y is r*psi + c1*phi + amp*sin(k*x)/(k**2*(k**2 + M)), phi being
+    the hinged beam's deflection under the load x, whose integral is L*zeta/2
+    (psi is symmetric about L/2).  The closed forms cancel about
+    (sqrt(M)*L)**-4, 32 digits at sqrt(M)*L = 1e-8, so the precision is 80
+    digits or 40 more than they cancel, whichever is larger.
+    """
+    cancelled = max(0, math.ceil(-4 * math.log10(math.sqrt(M) * L)))
+    with mp.workdps(max(80, 40 + cancelled)):
+        M, N, L = mp.mpf(M), mp.mpf(N), mp.mpf(L)
+        mu, k2 = mp.sqrt(M), (mp.pi / L) ** 2
+        zeta_ = L**3 / (12 * M) + (2 * mp.tanh(mu * L / 2) / mu - L) / M**2
+        sine = (2 * L / mp.pi) / (k2 * (k2 + M))
+        integral = (c0 * zeta_ + c1 * L * zeta_ / 2 + amp * sine) / (1 + N * zeta_)
+        r = c0 - N * integral
+        y, ypp = [], []
+        for xf in xs:
+            x = mp.mpf(float(xf))
+            gap = 1 - mp.cosh(mu * (x - L / 2)) / mp.cosh(mu * L / 2)
+            s_x = mp.sinh(mu * x) / mp.sinh(mu * L)
+            sn = mp.sin(mp.pi * x / L)
+            y.append(r * (x * (L - x) / (2 * M) - gap / M**2)
+                     + c1 * ((L * L * x - x**3) / 6 + L * (s_x - x / L) / M) / M
+                     + amp * sn / (k2 * (k2 + M)))
+            ypp.append(-r * gap / M + c1 * (L * s_x - x) / M - amp * sn / (k2 + M))
+        return (np.array(y, dtype=float), np.array(ypp, dtype=float), float(integral))
+
+
+def max_rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("z", [1e-60, 1e-8, 1e-5, 1e-2, 0.3, 1.0, 30.0, 700.0])
+@pytest.mark.parametrize("terms", [{"c0": 1.5}, {"amp": -0.7}, {"c0": 1.5, "amp": 0.8}],
+                         ids=["constant", "sine", "constant+sine"])
+def test_constant_and_sine_loads_are_accurate_for_every_sqrt_m_l(z, terms):
+    L, N = 2.5, 0.9
+    M = (z / L) ** 2
+    load = LoadSpec(tuple(Constant(v) if name == "c0" else SineHalfWave(v)
+                          for name, v in terms.items()))
+    sol = solve_linear(LinearProblem(M, N, L, load), grid_points=101)
+    y, ypp, integral = exact_linear(M, N, L, sol.grid, **terms)
+    assert max_rel(sol.y, y) <= 1e-12
+    assert max_rel(sol.ypp, ypp) <= 1e-12
+    assert abs(sol.integral_y - integral) <= 1e-12 * abs(integral)
+
+
+def test_residual_sees_a_deflection_inconsistent_with_its_integral():
+    pr = LinearProblem(M=1e-20, N=1.0, L=1.0, load=LoadSpec((Constant(1.0),)))
+    sol = solve_linear(pr, grid_points=1001)
+    assert residual(sol, pr) < 1e-8
+    doubled = GridSolution(sol.grid, 2.0 * sol.y, sol.ypp, sol.integral_y, sol.regime)
+    assert residual(doubled, pr) > 1e-3
+    # at N = 0 the integral takes no part in the model, so nothing shows
+    free = LinearProblem(M=1e-20, N=0.0, L=1.0, load=pr.load)
+    sol = solve_linear(free, grid_points=1001)
+    doubled = GridSolution(sol.grid, 2.0 * sol.y, sol.ypp, sol.integral_y, sol.regime)
+    assert residual(doubled, free) < 1e-8
+
+
+def test_residual_shows_the_affine_soft_regime_loss():
+    # sqrt(M)*L = 1e-4: the ramp's (B - A)/M cancels about eps/(sqrt(M)*L)**4
+    pr = LinearProblem(M=1e-8, N=1.0, L=1.0, load=LoadSpec((Affine(1.0, 0.5),)))
+    sol = solve_linear(pr, grid_points=1001)
+    y, _, _ = exact_linear(1e-8, 1.0, 1.0, sol.grid, c0=1.0, c1=0.5)
+    err, res = max_rel(sol.y, y), residual(sol, pr)
+    assert err <= 1e-8 or res > 1e-3, (err, res)
 
 
 # ---------------------------------------------------------------------------
