@@ -19,6 +19,7 @@ import numpy as np
 
 from .criteria import ConditionReport, _report, check_positivity, check_sine_conditions
 from .errors import ConfigError, EnvelopeViolation, NotApplicable
+from .kernel import _product
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
 from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
@@ -171,15 +172,12 @@ def load_envelope(bp: BridgeParams) -> Tuple[float, float]:
     """
     r = bp._resolved
     L = bp.L
-    try:
-        A = (
-            np.pi**4 * bp.EI / (100.0 * L**3)
-            + r.H * np.pi**2 / (100.0 * L)
-            + (r.n * np.pi / 625.0) * bp.EcAc / r.Lc
-        )
-        B = (32.0 * r.n**2 / (25.0 * np.pi)) * bp.EcAc / r.Lc
-    except OverflowError:  # from r.n**2; float products overflow to inf
-        A = B = np.inf
+    A = (
+        _product((np.pi, 4), (bp.EI, 1), (100.0, -1), (L, -3))
+        + r.H * np.pi**2 / (100.0 * L)
+        + (r.n * np.pi / 625.0) * bp.EcAc / r.Lc
+    )
+    B = (_product((32.0, 1), (r.n, 2)) / (25.0 * np.pi)) * bp.EcAc / r.Lc
     if not (np.isfinite(A) and np.isfinite(B)):
         raise ConfigError(f"the live-load envelope overflows (n = {r.n:.6g}, EI = {bp.EI:.6g})")
     return float(A), float(B)
@@ -239,7 +237,8 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     M = a + b*L**2/(50*pi) and N = b*(800*n + pi**2)/(100*L) (identities
     checked in the tests).  Since sigma(x) < 20/x**2, positivity needs
     N < 80/L**5; the necessary conditions state that bound through b and
-    through c.
+    through c.  A condition with a number beyond the float range raises
+    ConfigError.
     """
     r = bp._resolved
     a, b, c = derive_coefficients(bp)
@@ -247,31 +246,23 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
     lam = L / 100.0
 
     M, N = check_sine_conditions(a, b, c, L, lam)
-    try:
-        positivity = check_positivity(M, N, L)
-    except (OverflowError, ZeroDivisionError) as exc:  # sigma's x*x or L**3
-        raise ConfigError(f"the positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the float "
-                          f"range at span L = {L:.6g}") from exc
-
+    positivity = check_positivity(M, N, L)
     coeff = 800.0 * r.n + np.pi**2
-    try:
-        necessary_b = _report("necessary-b", coeff * b / 100.0, 80.0 / L**4)
-        necessary_c = _report("necessary-c", coeff * c / (800.0 * r.n), 80.0 / L**5)
-        uniqueness_sine = _report(
-            "uniqueness-sine", (40.0 / np.pi + 5.0 * np.pi**2) * b / 100.0, 80.0 / L**4
-        )
-    except (OverflowError, ZeroDivisionError) as exc:  # L**4 or L**5 leaves the float range
-        raise ConfigError(f"the bounds 80/L**4 and 80/L**5 leave the float range at span "
-                          f"L = {L:.6g}") from exc
+    bound_b, bound_c = _product((80.0, 1), (L, -4)), _product((80.0, 1), (L, -5))
+    necessary_b = _report("necessary-b", coeff * b / 100.0, bound_b)
+    necessary_c = _report("necessary-c", coeff * c / (800.0 * r.n), bound_c)
+    uniqueness_sine = _report(
+        "uniqueness-sine", (40.0 / np.pi + 5.0 * np.pi**2) * b / 100.0, bound_b
+    )
     sag_ratio = _report("sag-ratio", _SAG_GATE, r.n)
-
-    if positivity.satisfied and (sag_ratio.satisfied or uniqueness_sine.satisfied):
-        verdict = "certified-unique"
-    elif positivity.satisfied:
-        verdict = "certified-existence"
-    else:
-        verdict = "not-applicable"
-
+    verdict = ("not-applicable" if not positivity.satisfied
+               else "certified-unique" if sag_ratio.satisfied or uniqueness_sine.satisfied
+               else "certified-existence")
+    for rep in (positivity, necessary_b, necessary_c, uniqueness_sine):
+        if not all(np.isfinite((rep.lhs, rep.rhs, rep.margin))):
+            raise ConfigError(f"the {rep.name} condition leaves the float range at span "
+                              f"L = {L:.6g} (lhs {rep.lhs:.6g}, rhs {rep.rhs:.6g}, margin "
+                              f"{rep.margin:.6g})")
     A, B = load_envelope(bp)
     return ApplicabilityReport(
         a=a, b=b, c=c,
@@ -388,7 +379,10 @@ def solve_bridge(
             f"exceeds the positivity bound {report.positivity.rhs:.6g}"
         )
 
-    load = live_load.scaled(1.0 / bp.EI)
+    try:
+        load = live_load.scaled(1.0 / bp.EI)
+    except ValueError as exc:  # a term's field over EI leaves the float range
+        raise ConfigError(f"the live load over EI = {bp.EI:.6g} is not finite: {exc}") from exc
     problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
     pair = make_sine_pair(problem, report.lam, grid_points)
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)

@@ -7,12 +7,14 @@ configuration sits to the boundary instead of a bare boolean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from .errors import ConfigError
+from .kernel import _product
 
 __all__ = [
     "ConditionReport",
@@ -49,32 +51,37 @@ def _report(name: str, lhs: float, rhs: float, strict: bool = False) -> Conditio
     return ConditionReport(name, float(lhs), float(rhs), satisfied, float(margin), strict)
 
 
-def sigma(x: float) -> float:
-    """3*x**3 / (6*x*cosh(x) + 6*x - 12*sinh(x) - x**3), for x > 0.
+# 1/(x**2*sigma(x)) = sum_j (4j + 6)/(2j + 5)! x**(2j), highest term first
+_INVERSE_SERIES = tuple((4 * j + 6) / math.factorial(2 * j + 5) for j in reversed(range(12)))
 
-    The denominator starts at (3/20)*x**5, so the direct form cancels badly
-    for small x and overflows for large x; a series below x = 0.05 and an
-    exp(-x)-factored form above x = 650 keep full accuracy at every scale.
-    The function decreases from +infinity (like 20/x**2) toward 0.
+
+def _inverse_z2sigma(x: float):
+    """1/(x**2*sigma(x)), rising from 1/20 like exp(x)/x**4, as _product factors.
+
+    Below x = 3 the series, whose twelve terms are all positive; then the
+    direct form, which cancels less than fourfold; past x = 650
+    (1 - 2/x) x**-4 exp(x/8)**8.
+    """
+    if x < 3.0:
+        x2, q = x * x, 0.0
+        for coef in _INVERSE_SERIES:
+            q = coef + x2 * q
+        return ((q, 1),)
+    if x <= 650.0:
+        den = 6.0 * x * math.cosh(x) + 6.0 * x - 12.0 * math.sinh(x) - x**3
+        return ((den / (3.0 * x**5), 1),)
+    return ((1.0 - 2.0 / x, 1), (x, -4), (math.exp(x / 8.0) if x < 5600.0 else math.inf, 8))
+
+
+def sigma(x: float) -> float:
+    """3*x**3 / (6*x*cosh(x) + 6*x - 12*sinh(x) - x**3), for x > 0 (_inverse_z2sigma).
+
+    Decreases from +infinity (like 20/x**2, so inf below 3.3e-154) toward 0.
     """
     x = float(x)
-    if not (x > 0.0 and np.isfinite(x)):
+    if not (x > 0.0 and math.isfinite(x)):
         raise ValueError(f"sigma requires x > 0, got {x}")
-    if x < 0.05:
-        x2 = x * x
-        den = x2 * (
-            3.0 / 20.0
-            + x2 * (1.0 / 168.0 + x2 * (1.0 / 8640.0 + x2 / 739200.0))
-        )
-        return 3.0 / den
-    if x <= 650.0:
-        den = 6.0 * x * np.cosh(x) + 6.0 * x - 12.0 * np.sinh(x) - x**3
-        return 3.0 * x**3 / den
-    e = np.exp(-x)
-    if e == 0.0:  # the value has underflowed too; x**3 would overflow past 5.6e102
-        return 0.0
-    den = (3.0 * x - 6.0) + (6.0 * x - x**3) * e + (3.0 * x + 6.0) * e * e
-    return 3.0 * x**3 * e / den
+    return _product(*((base, -power) for base, power in _inverse_z2sigma(x)), (x, -2))
 
 
 def xi(x: float) -> float:
@@ -101,18 +108,26 @@ def check_positivity(M: float, N: float, L: float) -> ConditionReport:
 
     Under it (with N >= 0) the solution operator of the linear model maps
     nonnegative loads to nonnegative deflections, which is what the
-    two-sided iteration needs to preserve ordering.
+    two-sided iteration needs to preserve ordering.  The bound is
+    (4/L**5)*z**2*sigma(z), z = sqrt(M)*L: verdict and margin come from the
+    ratio N*L**5/(4*z**2*sigma(z)), finite even where the bound (rhs) is not.
     """
-    return _report("positivity", N, 4.0 * M * sigma(np.sqrt(M) * L) / L**3)
+    inverse = _inverse_z2sigma(math.sqrt(M) * L)
+    ratio = _product((N, 1), (4.0, -1), (L, 5), *inverse) if N else 0.0
+    bound = _product((4.0, 1), (L, -5), *((base, -power) for base, power in inverse))
+    return ConditionReport("positivity", float(N), bound, ratio <= 1.0, 1.0 - ratio)
 
 
 def check_smallness(M: float, N: float, L: float) -> ConditionReport:
-    """|N| <= 8*M/L**3, the coupling bound that guarantees solvability.
+    """|N| <= 8*M/L**3 = 8*z**2/L**5, the coupling bound that guarantees solvability.
 
     Since zeta < L**3/(12*M), this keeps |N*zeta| < 2/3, so the resolvent
     denominator 1 + N*zeta stays away from zero for either sign of N.
+    Verdict and margin come from the ratio |N|*L**3/(8*M), as in positivity.
     """
-    return _report("smallness", abs(N), 8.0 * M / L**3)
+    ratio = _product((abs(N), 1), (8.0, -1), (L, 3), (M, -1))
+    bound = _product((8.0, 1), (M, 1), (L, -3))
+    return ConditionReport("smallness", float(abs(N)), bound, ratio <= 1.0, 1.0 - ratio)
 
 
 def check_uniqueness(a: float, b: float, c: float, M: float, N: float,
@@ -122,8 +137,8 @@ def check_uniqueness(a: float, b: float, c: float, M: float, N: float,
     L**3*N/4 + M - 4/L**2 < a + (L**3/4)*c, where (M, N) are the
     linearization coefficients of a bracket whose lower bound is zero.
     """
-    lhs = L**3 * N / 4.0 + M - 4.0 / L**2
-    rhs = a + (L**3 / 4.0) * c
+    lhs = _product((L, 3), (N, 1), (4.0, -1)) + M - _product((4.0, 1), (L, -2))
+    rhs = a + _product((L, 3), (4.0, -1), (c, 1))
     return _report("uniqueness", lhs, rhs, strict=True)
 
 
@@ -134,9 +149,9 @@ def contraction_rho(a: float, b: float, c: float, M: float, N: float, L: float) 
     mu = sqrt(M), for a bracket whose lower bound is zero.  Values below 1
     certify geometric shrinking of the bracket.
     """
-    mu = np.sqrt(M)
-    lead = L * np.tanh(0.5 * mu * L) / (2.0 * mu)
-    return float(lead * ((M - a) + (L**3 / 4.0) * (N - c)))
+    mu = math.sqrt(M)
+    lead = L * float(np.tanh(0.5 * mu * L)) / (2.0 * mu)
+    return lead * ((M - a) + _product((L, 3), (4.0, -1), (N - c, 1)))
 
 
 def check_sine_conditions(a: float, b: float, c: float, L: float,
@@ -147,24 +162,15 @@ def check_sine_conditions(a: float, b: float, c: float, L: float,
     integral and curvature), returned as Python floats; this is the one
     place they are computed.  The bracket's conditions are checked at these
     values: positivity by check_positivity(M, N, L), uniqueness within the
-    bracket by check_uniqueness.
-
-    lam = 0 is the degenerate flat bracket: M = a, N = c.  An overflowing
-    M or N raises ConfigError.
+    bracket by check_uniqueness.  lam = 0 is the flat bracket M = a, N = c.
+    An M or N whose value overflows raises ConfigError.
     """
     if lam < 0.0:
         raise ValueError(f"lam must be nonnegative, got {lam}")
-
-    def overflows(name: str, value: float) -> ConfigError:
-        return ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
-                           f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
-
-    M = a + 2.0 * b * lam * L / np.pi
-    try:
-        N = c + b * lam * np.pi**2 / L**2
-    except (OverflowError, ZeroDivisionError) as exc:  # L**2 leaves the float range
-        raise overflows("N", np.inf) from exc
+    M = a + _product((2.0, 1), (b, 1), (lam, 1), (L, 1), (np.pi, -1))
+    N = c + _product((b, 1), (lam, 1), (np.pi, 2), (L, -2))
     for name, value in (("M", M), ("N", N)):
-        if not np.isfinite(value):
-            raise overflows(name, value)
-    return float(M), float(N)
+        if not math.isfinite(value):
+            raise ConfigError(f"the sine bracket's coefficient {name} = {value} overflows "
+                              f"(a = {a:.6g}, b = {b:.6g}, lam = {lam:.6g}, L = {L:.6g})")
+    return M, N

@@ -9,12 +9,13 @@ Everything here is written in forms that stay finite and fully accurate for
 stiff parameters: ratios of hyperbolic sines are evaluated through expm1
 products so that no intermediate exceeds exp(0), and quantities that suffer
 subtractive cancellation for small sqrt(M)*L switch to explicit series.
+The integrals are a power of L times a function of z = sqrt(M)*L, the power
+applied last, so nothing over- or underflows unless the value itself does.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,8 +50,25 @@ class KernelParams:
             raise ValueError(f"M must be positive and finite, got {self.M}")
         if not (self.L > 0.0 and math.isfinite(self.L)):
             raise ValueError(f"L must be positive and finite, got {self.L}")
-        object.__setattr__(self, "mu", float(np.sqrt(self.M)))
+        object.__setattr__(self, "mu", math.sqrt(self.M))
         object.__setattr__(self, "muL", float(self.mu * self.L))
+
+
+def _product(*factors) -> float:
+    """Product of base**power over (base, power) pairs (int power; a negative one divides).
+
+    Bases enter as math.frexp mantissas, so the rounding is the plain
+    left-to-right product's, and the result is inf or 0 only if the value is.
+    """
+    x, e = 1.0, 0
+    for base, power in factors:
+        m, k = math.frexp(base)
+        x = x * m**power if power > 0 else x / m**-power  # within 2**(sum of |power|) of 1
+        e += k * power
+    x, k = math.frexp(x)
+    if e + k > 1024:  # beyond the float range, where math.ldexp raises
+        return x * math.inf if x else 0.0
+    return math.ldexp(x, e + k)
 
 
 def _clip_domain(x, length: float) -> np.ndarray:
@@ -152,53 +170,58 @@ def _const_profile(x, params: KernelParams):
 
 
 def _row_integrals(x, params: KernelParams):
-    """(psi(x), gm_row_integral(x)) from one _const_profile, for x already in [0, L]."""
-    const = _const_profile(x, params)
+    """(psi(x), gm_row_integral(x)) for x in [0, L]; unwarned inf or NaN past the float range.
+
+    From z = sqrt(M)*L = 0.05 up, gm_row = _const_profile/M and
+    psi = x*(L - x)/(2M) - gm_row/M.  Below, that cancels, and psi = L**4 Psi
+    with Psi a series in z**2 and w = (2x/L - 1)**2, and gm_row = L**2 G with
+    G = x*(L - x)/(2 L**2) - z**2 Psi, in which nothing cancels.
+    """
     M, L, z = params.M, params.L, params.muL
-    if z >= 0.05:
-        return x * (L - x) / (2.0 * M) - const / M**2, const / M
-    d2 = (params.mu * (2.0 * x - L)) ** 2
-    z2 = z * z
-    poly = (
-        (5.0 * z2 - d2) / 384.0
-        + (14.0 * z2**2 - z2 * d2 - d2**2) / 46080.0
-        + (27.0 * z2**3 - z2**2 * d2 - z2 * d2**2 - d2**3) / 10321920.0
-    )
-    return 4.0 * x * (L - x) * poly / (M * np.cosh(0.5 * z)), const / M
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if z >= 0.05:
+            const = _const_profile(x, params)
+            return x * (L - x) / (2.0 * M) - const / (M * M), const / M
+        u = x / L
+        v, w, z2 = 4.0 * u * (1.0 - u), (2.0 * u - 1.0) ** 2, z * z
+        Psi = v / math.cosh(0.5 * z) * (
+            (5.0 - w) / 384.0
+            + z2 * (14.0 - w * (1.0 + w)) / 46080.0
+            + z2 * z2 * (27.0 - w * (1.0 + w * (1.0 + w))) / 10321920.0
+        )
+        return Psi * (L * L) * (L * L), (v / 8.0 - z2 * Psi) * (L * L)
 
 
 def gm_row_integral(x, params: KernelParams):
-    """Integral of green_gm(x, s) over s in [0, L], in closed form."""
-    return _const_profile(_clip_domain(x, params.L), params) / params.M
+    """Integral of green_gm(x, s) over s in [0, L] (see _row_integrals)."""
+    return _row_integrals(_clip_domain(x, params.L), params)[1]
 
 
 def psi(x, params: KernelParams):
-    """Integral of g(x, s) over s in [0, L].
-
-    Closed form x*(L-x)/(2M) - gm_row_integral(x)/M, replaced below
-    mu*L = 0.05 by a series in mu*L and mu*(2x - L) that avoids the
-    subtractive cancellation of the closed form.
-    """
+    """Integral of g(x, s) over s in [0, L]: x*(L-x)/(2M) - gm_row_integral(x)/M."""
     return _row_integrals(_clip_domain(x, params.L), params)[0]
 
 
-def zeta(params: KernelParams) -> float:
-    """Double integral of g over [0, L]^2.
+def _zeta_factors(mu: float, L: float):
+    """Z(z) = zeta/L**5 at z = mu*L as _product factors; Z = (z**3 - 12z + 24 tanh(z/2))/(12 z**5).
 
-    Equals (z^3 - 12 z + 24 tanh(z/2))/(12 M^2 mu) with z = mu*L; below
-    z = 0.25 it is L^5/12 times the series of that bracket over z^5, which
-    preserves accuracy and forms no power of M or z that could underflow.
-    Raises ZeroDivisionError when 12 M^2 mu is not a normal float (M below
-    about 3.2e-124), the closed form's denominator underflowing.
+    Below z = 3, ten levels of Lambert's continued fraction tanh(u) =
+    u/(1 + u**2/(3 + u**2/(5 + ...))), u = z/2, all positive; above, w/z**2,
+    w = (1 - 12/z**2 + 24 tanh(z/2)/z**3)/12 (cancels under threefold).
     """
-    z = params.muL
-    denom = 12.0 * params.M**2 * params.mu
-    if denom < sys.float_info.min:
-        raise ZeroDivisionError(f"zeta's denominator 12*M**2*sqrt(M) = {denom:.3g} underflows")
-    if z >= 0.25:
-        return (z**3 - 12.0 * z + 24.0 * np.tanh(0.5 * z)) / denom
+    z = mu * L
+    if z < 3.0:
+        u2 = 0.25 * z * z
+        e = 21.0
+        for k in range(19, 3, -2):
+            e = k + u2 / e
+        # e = 5 + u2/(7 + ...) and 3 + u2/e the level above it
+        return (((1.0 + e) / (48.0 * e * (3.0 + u2 / e + u2)), 1),)
     z2 = z * z
-    series = 5461.0 / 518918400.0 - z2 * 929569.0 / 871796224000.0
-    for c in (-691.0 / 6652800.0, 31.0 / 30240.0, -17.0 / 1680.0, 1.0 / 10.0):
-        series = c + z2 * series
-    return params.L**5 / 12.0 * series
+    w = (1.0 - 12.0 / z2 + 24.0 * math.tanh(0.5 * z) / (z2 * z)) / 12.0
+    return (w, 1), (mu, -2), (L, -2)  # z**-2 as factors, which cannot overflow
+
+
+def zeta(params: KernelParams) -> float:
+    """Double integral of g over [0, L]^2: L**5 * Z(sqrt(M)*L), inf or 0 only if its value is."""
+    return _product(*_zeta_factors(params.mu, params.L), (params.L, 5))

@@ -17,11 +17,7 @@ psi/zeta the kernel row and double integrals.  Each load term gives its own
 A constant v is exactly v*(gm_row_integral, psi, zeta) and a half sine has
 cancellation-free forms; the other analytic terms form y_p = (B - A)/M, B
 being the convolution against the kernel of -d2/dx2.  Sampled loads use
-Simpson sums over their own nodes: of p*psi for Lambda, and against both
-kernels for A and B, in O(n) time and memory from the kernels'
-semiseparable structure: per direction one complex prefix sum
-(gm + 1j*g0) over coefficients that fold in every per-node factor once per
-LinearOperator.
+Simpson sums over their own nodes, in O(n) (_SampledProfile).
 
 Second derivatives are assembled from the same convolutions (never by
 differencing y): y_p'' = -A and (d2/dx2)psi = -gm_row_integral.
@@ -37,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .criteria import check_smallness
 from .errors import NonFiniteSolution, NotContractive, SingularResonance
 from .kernel import (
     KernelParams,
@@ -96,7 +93,7 @@ class GridSolution:
     pointwise, so `ypp` is not a finite difference of `y`; `integral_y` is
     the analytic value of the nonlocal term, not a quadrature of `y`.
     `regime` says where the solution came from: the closed form's
-    solvability label (_classify_regime), "finite-difference" from the
+    solvability label (LinearOperator), "finite-difference" from the
     oracle, or "monotone-<status>" from solve_bridge.
     """
 
@@ -105,23 +102,6 @@ class GridSolution:
     ypp: np.ndarray
     integral_y: float
     regime: str
-
-
-def _classify_regime(M: float, N: float, L: float) -> str:
-    """Label the a-priori solvability guarantee for the coefficient triple.
-
-    N >= 0 always leaves 1 + N*zeta >= 1.  For N < 0, zeta < L**3/(12*M)
-    gives |N*zeta| < 2/3 whenever |N| <= 8*M/L**3.  Outside both, the
-    solve may still succeed but carries no guarantee.
-    """
-    if N >= 0.0:
-        return "unconditional"
-    try:
-        small = abs(N) <= 8.0 * M / L**3
-    except (OverflowError, ZeroDivisionError) as exc:  # L**3 leaves the float range
-        raise NonFiniteSolution(f"the coupling bound 8*M/L**3 leaves the float range "
-                                f"at L = {L:.6g}") from exc
-    return "small-coupling" if small else "unverified"
 
 
 # Largest exponent in one _running_sums block, far below overflow at 709.
@@ -264,10 +244,8 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
         return A, y_p, lam
 
     if isinstance(term, Constant):
-        if operator is None:
-            profiles = gm_row_integral(x, params), psi(x, params), zeta(params)
-        else:
-            profiles = operator.gm_row, operator.psi, operator.zeta
+        profiles = ((gm_row_integral(x, params), psi(x, params), zeta(params)) if operator is None
+                    else (operator.gm_row, operator.psi, operator.zeta))
         return tuple(term.value * f for f in profiles)
 
     if isinstance(term, Affine):
@@ -358,14 +336,12 @@ class LinearOperator:
 
     Everything a solve needs that does not depend on the load is computed
     once, when the operator is built: the grid x, psi(x) and gm_row_integral(x)
-    (from one kernel profile, with no domain check on the operator's own
-    grid), zeta, 1 + N*zeta and the regime label of every solution.
-    SingularResonance is raised here when 1 + N*zeta vanishes,
-    NonFiniteSolution when those profiles overflow.  The profile of a
-    Sampled load with one sample per grid node (its prepared coefficients,
-    see _SampledProfile) is built on the first such solve and kept, so
-    closed-form solves never pay for it; a Sampled load of any other size
-    gets a throwaway profile.
+    (_row_integrals, with no domain check on the operator's own grid), zeta,
+    1 + N*zeta and the regime label of every solution.  SingularResonance is
+    raised here when 1 + N*zeta vanishes, NonFiniteSolution when zeta or the
+    profiles leave the float range.  The profile of a Sampled load with one
+    sample per grid node (see _SampledProfile) is built on its first solve and
+    kept; a Sampled load of any other size gets a throwaway profile.
 
     Reuse one operator for every load with the same coefficients, as the
     monotone iteration does for all sweeps of a bracket: each solve is then
@@ -381,20 +357,21 @@ class LinearOperator:
         self.M, self.N, self.L, self.grid_points = M, N, L, grid_points
         self.params = params
         self.grid = x
-        try:
-            self.psi, self.gm_row = map(_read_only, _row_integrals(x, params))
-            self.zeta = zeta(params)
-        except OverflowError as exc:
-            raise NonFiniteSolution(f"kernel profiles overflow at M = {M:.6g}") from exc
-        except ZeroDivisionError as exc:  # zeta's 12*M**2*mu underflows to zero
-            raise NonFiniteSolution(f"zeta's denominator underflows at M = {M:.6g}") from exc
+        self.psi, self.gm_row = map(_read_only, _row_integrals(x, params))
+        self.zeta = zeta(params)
+        mid = grid_points // 2  # both profiles peak at midspan
+        if not all(map(math.isfinite, (self.zeta, self.psi[mid], self.gm_row[mid]))):
+            raise NonFiniteSolution(f"kernel profiles overflow at M = {M:.6g}, L = {L:.6g}")
         coupling = N * self.zeta
         self.denom = 1.0 + coupling
         if abs(self.denom) < _SINGULAR_TOL * max(1.0, abs(coupling)):
             raise SingularResonance(
                 f"1 + N*zeta = {self.denom:.3e} is numerically zero (N*zeta = {coupling:.6g})"
             )
-        self.regime = _classify_regime(M, N, L)
+        # The a-priori solvability label: N >= 0 leaves 1 + N*zeta >= 1, and for
+        # N < 0, zeta < L**3/(12*M) keeps |N*zeta| < 2/3 under check_smallness.
+        self.regime = ("unconditional" if N >= 0.0 else
+                       "small-coupling" if check_smallness(M, N, L).satisfied else "unverified")
         self._profile = None
 
     def _profile_for(self, ns: int) -> _SampledProfile:

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteSolution
+
 __all__ = [
     "Constant",
     "Affine",
@@ -31,7 +33,7 @@ class _FiniteTerm:
     def __post_init__(self):
         for name, value in vars(self).items():
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{type(self).__name__}.{name} must be finite, got {value}")
 
     def scaled(self, factor: float):
         """The load times factor: a closed-form term is linear in every field."""
@@ -121,7 +123,8 @@ class Sampled:
         return np.interp(np.asarray(x, dtype=float), xs, self.values)
 
     def scaled(self, factor: float) -> "Sampled":
-        return Sampled(self.values * factor)
+        with np.errstate(over="ignore"):  # solvers refuse the overflowing samples
+            return Sampled(self.values * factor)
 
 
 @dataclass(frozen=True)
@@ -137,10 +140,12 @@ class LoadSpec:
         object.__setattr__(self, "terms", terms)
 
     def evaluate(self, x, length: float):
+        """The load at the positions x; NonFiniteSolution if a value leaves the float range."""
         x = np.asarray(x, dtype=float)
-        total = np.zeros_like(x)
-        for term in self.terms:
-            total = total + term.evaluate(x, length)
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = sum((term.evaluate(x, length) for term in self.terms), np.zeros_like(x))
+        if not np.isfinite(total).all():
+            raise NonFiniteSolution(f"the load leaves the float range on [0, {length:.6g}]")
         return total
 
     def scaled(self, factor: float) -> "LoadSpec":

@@ -40,6 +40,7 @@ from .errors import (
     NotApplicable,
     NotConverged,
 )
+from .kernel import _product
 from .linear import GridSolution, LinearOperator, LinearProblem, solve_linear
 from .loads import LoadSpec, Sampled
 # Unused here, but perfbench/tracer.py wraps melan.monotone.integrate.
@@ -83,12 +84,10 @@ class MelanProblem:
     load: LoadSpec
 
     def __post_init__(self):
-        for name in ("a", "b", "c"):
+        for name in ("a", "b", "c", "L"):
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be positive and finite, got {v}")
-        if not (self.L > 0.0 and math.isfinite(self.L)):
-            raise ValueError(f"L must be positive and finite, got {self.L}")
         if not isinstance(self.load, LoadSpec):
             raise TypeError("load must be a LoadSpec")
 
@@ -203,14 +202,16 @@ class SineShape:
 
     amplitude: float
 
-    def evaluate(self, x, length):
-        return self.amplitude * np.sin(np.pi * np.asarray(x, dtype=float) / length)
+    def evaluate(self, x, length, k: int = 0):
+        """amplitude*(pi/L)**k*sin(pi*x/L); the factor overflows only if its value does."""
+        factor = _product((self.amplitude, 1), (np.pi, k), (length, -k))
+        return factor * np.sin(np.pi * np.asarray(x, dtype=float) / length)
 
     def second(self, x, length):
-        return -((np.pi / length) ** 2) * self.evaluate(x, length)
+        return -self.evaluate(x, length, 2)
 
     def fourth(self, x, length):
-        return (np.pi / length) ** 4 * self.evaluate(x, length)
+        return self.evaluate(x, length, 4)
 
     def integral(self, length) -> float:
         return 2.0 * self.amplitude * length / np.pi
@@ -266,15 +267,15 @@ def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: in
     """
     M, N = check_sine_conditions(a, b, c, L, lam)
     operator = LinearOperator(M, N, float(L), grid_points)
-    y = SineShape(lam).evaluate(operator.grid, L)
-    # SineShape.second and .fourth, from the same samples.
-    ypp = -((np.pi / L) ** 2) * y
-    I = SineShape(lam).integral(L)
-    try:  # (pi/L)**4 leaves the float range, or its product with the samples
-        with np.errstate(over="raise"):
-            model = _model(a, b, c, (np.pi / L) ** 4 * y, ypp, I)
-    except (OverflowError, FloatingPointError) as exc:
-        raise NonFiniteSolution(f"the sine bound's model overflows at L = {L:.6g}") from exc
+    sine = SineShape(lam)
+    y, I = sine.evaluate(operator.grid, L), sine.integral(L)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ypp = sine.second(operator.grid, L)
+        model = _model(a, b, c, sine.fourth(operator.grid, L), ypp, I)
+    for name, samples in (("curvature", ypp), ("model", model)):
+        if not np.isfinite(samples).all():
+            raise NonFiniteSolution(f"the sine bound's {name} overflows at L = {L:.6g} "
+                                    f"(lam = {lam:.6g})")
     zero = np.zeros_like(y)
     for samples in (zero, y, ypp, model):
         samples.flags.writeable = False
@@ -298,26 +299,17 @@ def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: in
 def make_sine_pair(problem: MelanProblem, lam: float, grid_points: int = 1001) -> BoundPair:
     """Build the zero/sine bracket with its frozen linearization coefficients.
 
-    M = a + 2*b*lam*L/pi and N = c + b*lam*pi**2/L**2 are exactly the
-    values needed for the sine bound (taken from check_sine_conditions), so
-    the pair is ordered and its coefficients dominate by construction.
-    lam = 0 degenerates to the (well-formed) equal pair alpha = beta = 0
-    with M = a, N = c.  A sine whose curvature lam*(pi/L)**2 overflows
-    raises NonFiniteSolution.  Only the load is sampled per call; the rest
-    comes from the last bracket built when (a, b, c, L, lam, grid_points)
-    repeats, so every array of the pair is read-only.
+    (M, N) from check_sine_conditions are exactly the values the sine bound
+    needs, so the pair is ordered and its coefficients dominate by
+    construction; lam = 0 is the equal pair alpha = beta = 0, M = a, N = c.
+    A sine whose curvature or model overflows raises NonFiniteSolution.  Only
+    the load is sampled per call; the rest, read-only, is the last bracket
+    built (_bracket) when (a, b, c, L, lam, grid_points) repeats.
     """
     if not (lam >= 0.0 and np.isfinite(lam)):
         raise ValueError(f"lam must be nonnegative and finite, got {lam}")
-    L = problem.L
-    try:
-        curvature = lam * (np.pi / L) ** 2
-    except OverflowError:  # (pi/L)**2 leaves the float range
-        curvature = np.inf
-    if not np.isfinite(curvature):
-        raise NonFiniteSolution(f"the sine bound's curvature overflows at lam = {lam:.6g}")
-    bracket = _bracket(problem.a, problem.b, problem.c, L, lam, grid_points)
-    p = problem.load.evaluate(bracket.grid, L)
+    bracket = _bracket(problem.a, problem.b, problem.c, problem.L, lam, grid_points)
+    p = problem.load.evaluate(bracket.grid, problem.L)
     p.flags.writeable = False
     return replace(bracket, problem=problem, p=p)
 

@@ -23,6 +23,7 @@ from melan import (
     Affine,
     BridgeParams,
     Constant,
+    KernelParams,
     LinearProblem,
     LoadSpec,
     MelanProblem,
@@ -33,13 +34,17 @@ from melan import (
     applicability,
     cable_length,
     check_positivity,
+    check_sine_conditions,
+    check_smallness,
     derive_coefficients,
     iterate_melan,
     load_envelope,
     make_sine_pair,
+    sigma,
     solve_bridge,
     solve_linear,
     verify_upper,
+    zeta,
 )
 from melan.errors import ConfigError, EnvelopeViolation, NonFiniteSolution, NotApplicable
 from melan.monotone import _apply_model
@@ -473,19 +478,32 @@ def _bridge_check(bridge):
     return applicability(BridgeParams(**bridge))
 
 
+def _sinh_run(rate):
+    problem = MelanProblem(0.1, 0.1, 0.1, 2.0, LoadSpec((SinhTerm(1.0, rate),)))
+    return iterate_melan(problem, grid_points=11)
+
+
+# Cases 7-10 and 14 replace cases whose true values are finite, which moved
+# to test_extreme_magnitudes_give_a_finite_answer; the index-named cases
+# after them keep their ids.
 @pytest.mark.parametrize(
     "run, value, error, message",
     [
-        (_sine_run, 1e200, ConfigError, "coefficient N = inf overflows"),
+        (_sine_run, 1e200, ConfigError, "coefficient M = inf overflows"),
         (_sine_run, 1e-120, NonFiniteSolution, "sine bound's model overflows at L = 1e-120"),
-        (_sine_run, 1e-200, NonFiniteSolution, "sine bound's curvature overflows"),
+        (_sine_run, 1e-200, NonFiniteSolution, "sine bound's model overflows at L = 1e-200"),
         *[(_span_100_check, L, ConfigError, f"float range at span L = {L:.6g}")
           for L in (1e80, 1e100, 1e-80, 1e-100)],
-        *[(_constant_solve, M, NonFiniteSolution, f"zeta's denominator underflows at M = {M:.6g}")
-          for M in (1e-150, 1e-200, 1e-300)],
-        # L**3 underflows in the coupling bound of _classify_regime
-        (_grid_11_solve, (1.0, -1e-8, 5e-324, Constant(1.0)), NonFiniteSolution,
-         "coupling bound 8*M/L**3 leaves the float range at L = 4.94066e-324"),
+        # psi = L**4 * Psi(z, x/L) beyond the float range, on the series branch
+        (_grid_11_solve, (1e-300, 0.0, 1e100, Constant(1.0)), NonFiniteSolution,
+         "kernel profiles overflow at M = 1e-300, L = 1e+100"),
+        # x*(L - x), on the closed-form branch
+        (_grid_11_solve, (1.0, 0.0, 1e160, Constant(1.0)), NonFiniteSolution,
+         "kernel profiles overflow at M = 1, L = 1e+160"),
+        # sinh(1000*x) overflows on the span: the load itself is not finite
+        (_sinh_run, 1000.0, NonFiniteSolution, "the load leaves the float range on [0, 2]"),
+        (_grid_11_solve, (1.0, 0.0, 1e300, Constant(1.0)), NonFiniteSolution,
+         "kernel profiles overflow at M = 1, L = 1e+300"),
         # the sine term's L**2, the sinh term's rate**2, and sinh_frac at sqrt(M)*L = 0
         (_grid_11_solve, (1.0, 0.1, 1e-300, SineHalfWave(1.0)), NonFiniteSolution,
          "leaves the float range at L = 1e-300, sqrt(M)*L = 1e-300"),
@@ -493,24 +511,89 @@ def _bridge_check(bridge):
          "leaves the float range at L = 1, sqrt(M)*L = 1"),
         (_grid_11_solve, (1e-10, 0.0, 5e-324, Affine(1.0, 1.0)), NonFiniteSolution,
          "sqrt(M)*L = 0"),
-        # sigma's x*x underflows; n = 0.11 in place of the CLI case's q, whose
-        # sag ratio 1.15 would warn first
+        # the positivity bound 80/L**5 = 8e351, while its ratio and the envelope are finite
+        (_bridge_check, {"L": 1e-70, "EI": 1.0, "EcAc": 1.0, "H": 1.0, "n": 0.1},
+         ConfigError, "positivity condition leaves the float range at span L = 1e-70 (lhs "
+         "7.00696e+209, rhs inf, margin 1)"),
+        # EI/L**3 overflows the live-load envelope; n = 0.11 in place of the CLI
+        # case's q, whose sag ratio 1.15 would warn first
         (_bridge_check, {"L": 1.2e-8, "EI": 1e308, "EcAc": 6.4e-9, "H": 3.2e-4, "n": 0.11},
-         ConfigError, "positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the float range "
-         "at span L = 1.2e-08"),
-        # 12*M**2*sqrt(M) is subnormal, not zero: a plain quotient reads 0.013 for 1/120
-        (_constant_solve, 1e-129, NonFiniteSolution, "zeta's denominator underflows at M = 1e-129"),
+         ConfigError, "the live-load envelope overflows (n = 0.11, EI = 1e+308)"),
     ],
     ids=lambda arg: arg.__name__.lstrip("_") if callable(arg) else None,
 )
 def test_extreme_magnitudes_raise_a_melan_error(run, value, error, message):
-    # A float power or quotient of L or M leaves the float range: the run
-    # ends in the named MelanError, not a bare OverflowError or
-    # ZeroDivisionError, and numpy warns nothing on the way.
+    # A value leaves the float range: the run ends in the named MelanError,
+    # not a bare OverflowError or ZeroDivisionError, and numpy warns nothing
+    # on the way.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error, match=re.escape(message)):
             run(value)
+
+
+def _unit_solve(M):
+    # unit load on the unit span at N = 0: y = psi, whose peak is 5/384 and
+    # whose integral is zeta, both at z**2 from their limits
+    sol = _constant_solve(M)
+    return sol.integral_y, float(np.max(sol.y))
+
+
+def _grid_11_extremes(case):
+    sol = _grid_11_solve(case)
+    return sol.regime, float(np.max(np.abs(sol.y))), float(np.max(np.abs(sol.ypp)))
+
+
+def _zeta_on_unit_span(M):
+    return zeta(KernelParams(M, 1.0))
+
+
+def _smallness_verdict(L):
+    report = check_smallness(1.0, 0.5, L)
+    return report.satisfied, report.margin, report.lhs
+
+
+def _positivity_verdict(L):
+    report = check_positivity(1.0, 0.1, L)
+    return report.satisfied, report.margin, report.lhs
+
+
+def _flat_sine_conditions(L):
+    return check_sine_conditions(0.1, 0.1, 0.1, L, 0.0)
+
+
+def _flat_pair_at(L):
+    problem = MelanProblem(0.1, 0.1, 0.1, L, LoadSpec((Constant(0.1),)))
+    pair = make_sine_pair(problem, 0.0, 11)
+    return pair.M, pair.N, float(np.max(np.abs(pair.beta.ypp))), float(np.max(np.abs(pair.model)))
+
+
+@pytest.mark.parametrize(
+    "run, value, expected",
+    [
+        # zeta = L**5 * Z(z) and psi = L**4 * Psi(z, x/L) have no power of M to underflow
+        *[(_unit_solve, M, (1.0 / 120.0, 5.0 / 384.0))
+          for M in (1e-129, 1e-150, 1e-200, 1e-300)],
+        (_zeta_on_unit_span, 1e-129, 1.0 / 120.0),
+        # the coupling bound 8*M/L**3 is 8e970, its ratio 0; y and y'' are 0 in floating point
+        (_grid_11_extremes, (1.0, -1e-8, 5e-324, Constant(1.0)), ("small-coupling", 0.0, 0.0)),
+        (sigma, 1e-150, 2e301),
+        # the bounds 8*M/L**3 and 4*M*sigma/L**3 leave the float range, their ratios do not
+        (_smallness_verdict, 1e-120, (True, 1.0, 0.5)),
+        (_positivity_verdict, 1e-120, (True, 1.0, 0.1)),
+        # the flat bracket lam = 0: M = a, N = c and no curvature, at any span
+        (_flat_sine_conditions, 1e-170, (0.1, 0.1)),
+        (_flat_pair_at, 1e-170, (0.1, 0.1, 0.0, 0.0)),
+    ],
+    ids=lambda arg: arg.__name__.lstrip("_") if callable(arg) else None,
+)
+def test_extreme_magnitudes_give_a_finite_answer(run, value, expected):
+    # Where the true values are finite in floating point, the answer is,
+    # though a power of M or L on the way would leave the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        answer = run(value)
+    assert answer == pytest.approx(expected, rel=1e-14)
 
 
 SPAN_100_DEAD_LOAD = {"n": 1.0 / 9.0, "H": 19850.4, "q": 19850.4 * 8.0 / 900.0, "Lc": 103.2}
@@ -677,12 +760,13 @@ def test_a_second_load_on_a_bridge_rebuilds_nothing(monkeypatch):
 
 
 def test_each_memo_evaluates_positivity_once(monkeypatch):
-    # sigma runs once per positivity bound: a cold bridge has two memos (its
+    # z**2*sigma runs once per positivity bound: a cold bridge has two memos (its
     # report and its bracket), a second load hits both, and a bare
     # iteration has only the bracket.
     calls = []
-    original = melan.criteria.sigma
-    monkeypatch.setattr(melan.criteria, "sigma", lambda x: calls.append(x) or original(x))
+    original = melan.criteria._inverse_z2sigma
+    monkeypatch.setattr(melan.criteria, "_inverse_z2sigma",
+                        lambda x: calls.append(x) or original(x))
     clear_memos()
     solve_bridge(span_100(), LIVE_LOADS[0], grid_points=201)
     assert len(calls) == 2

@@ -432,20 +432,20 @@ GRID_11 = {"numerics": {"grid_points": 11}}
         ("bridge-report", {**SPAN_100_BEAM, "H": 19850.4, "q": 0.0},
          [{"type": "constant", "value": 100.0}], {}, [], 1,
          "error: q must be positive and finite, got 0.0"),
-        ("solve-linear", {"M": 1e200, "N": 0.0, "L": 1.0},
+        # psi = L**4 * Psi(z, x/L) leaves the float range
+        ("solve-linear", {"M": 1e-300, "N": 0.0, "L": 1e100},
          [{"type": "constant", "value": 1.0}], {}, [], 3,
-         "numerical failure: kernel profiles overflow"),
-        # a bound 80/L**4 overflows, and zeta's 12*M**2*mu underflows to zero
+         "numerical failure: kernel profiles overflow at M = 1e-300, L = 1e+100"),
+        # the positivity ratio N*L**5/(4*z**2*sigma(z)) overflows with z = 1e78
         ("check", {**SPAN_100_BEAM, "L": 1e80, "n": 1.0 / 9.0, "H": 19850.4}, [], {}, [], 1,
-         "error: the bounds 80/L**4 and 80/L**5 leave the float range at span L = 1e+80"),
-        ("solve-linear", {"M": 1e-150, "N": 0.0, "L": 1.0},
-         [{"type": "constant", "value": 1.0}], {}, [], 3,
-         "numerical failure: zeta's denominator underflows at M = 1e-150"),
-        # L**3, the sine term's L**2 and the sinh term's rate**2 leave the float
-        # range, sqrt(M)*L underflows to 0 under sinh_frac, and sigma's x*x to 0
+         "error: the positivity condition leaves the float range at span L = 1e+80 (lhs "
+         "7.69371e-243, rhs 0, margin -inf)"),
+        # the grid step L/10 underflows to 0, the sine term's L**2 and the sinh
+        # term's rate**2 leave the float range, and sqrt(M)*L underflows to 0
+        # under sinh_frac
         ("solve-linear", {"M": 1.0, "N": -1e-8, "L": 5e-324},
          [{"type": "constant", "value": 1.0}], GRID_11, [], 3,
-         "numerical failure: the coupling bound 8*M/L**3 leaves the float range"),
+         "numerical failure: the residual check is not finite (nan) at h = 0"),
         ("solve-linear", {"M": 1.0, "N": 0.1, "L": 1e-300},
          [{"type": "sine", "amplitude": 1.0}], GRID_11, [], 3,
          "numerical failure: a load term's closed form leaves the float range at L = 1e-300"),
@@ -454,9 +454,18 @@ GRID_11 = {"numerics": {"grid_points": 11}}
          "numerical failure: a load term's closed form leaves the float range"),
         ("solve-linear", {"M": 1e-10, "N": 0.0, "L": 5e-324},
          [{"type": "affine", "c0": 1.0, "c1": 1.0}], GRID_11, [], 3, "sqrt(M)*L = 0"),
+        # EI/L**3 overflows the live-load envelope (the positivity bound is finite)
         ("check", {"L": 1.2e-8, "EI": 1e308, "EcAc": 6.4e-9, "H": 3.2e-4, "q": 244270.3},
-         [], {}, [], 1, "error: the positivity bound 4*M*sigma(sqrt(M)*L)/L**3 leaves the "
-         "float range at span L = 1.2e-08"),
+         [], {}, [], 1, "error: the live-load envelope overflows (n = 1.14502, EI = 1e+308)"),
+        # a forced live load whose term divided by EI overflows: c1/EI = 4.9e459
+        ("bridge-report", {"L": 100.0, "EI": 2.04e-160, "EcAc": 1e-170, "n": 0.1, "H": 1e-164},
+         [{"type": "affine", "c0": 0.0, "c1": 1e300}], {}, ["--force"], 1,
+         "error: the live load over EI = 2.04e-160 is not finite: Affine.c1 must be finite, "
+         "got inf"),
+        # with c1 = 1.7e308 the load itself, c1*x, overflows on the span
+        ("bridge-report", {"L": 100.0, "EI": 2.04e-160, "EcAc": 1e-170, "n": 0.1, "H": 1e-164},
+         [{"type": "affine", "c0": 0.0, "c1": 1.7e308}], {}, ["--force"], 3,
+         "numerical failure: the load leaves the float range on [0, 100]"),
         # a refused bridge (span-150) must not be forced by a truthy string
         ("bridge-report", SPAN_150, [{"type": "constant", "value": 100.0}],
          {"numerics": {"force": "false"}}, [], 1,
@@ -481,9 +490,10 @@ GRID_11 = {"numerics": {"grid_points": 11}}
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
          "zero-tension", "flat-cable", "flat-cable-without-length", "overflowing-kernel",
-         "overflowing-span-bound", "underflowing-zeta", "underflowing-coupling-bound",
+         "overflowing-span-bound", "underflowing-coupling-bound",
          "underflowing-sine-term", "overflowing-sinh-rate", "underflowing-sinh-argument",
-         "underflowing-sigma", "string-force", "boolean-sample",
+         "underflowing-sigma", "overflowing-scaled-load", "overflowing-load",
+         "string-force", "boolean-sample",
          "string-sample",
          "overflowing-integer-sample", "numeric-output-dir", "non-finite-trace"],
 )
@@ -499,6 +509,22 @@ def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load
     assert rc == code
     assert message in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("M, integral, peak", [(1e200, 1.0 / 12e200, 1.0 / 8e200),
+                                               (1e-150, 1.0 / 120.0, 5.0 / 384.0)],
+                         ids=["huge-M", "tiny-M"])
+def test_extreme_coefficients_write_finite_files(tmp_path, M, integral, peak):
+    # M = 1e200 squares beyond the float range and M = 1e-150 gives a
+    # subnormal 12*M**2*sqrt(M), but y = psi and its integral zeta are finite
+    cfg = write_config(tmp_path / "cfg.json", {"problem": {"M": M, "N": 0.0, "L": 1.0},
+                                                "load": [{"type": "constant", "value": 1.0}]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve-linear", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["integral_y"] == pytest.approx(integral, rel=1e-12)
+    assert summary["max_abs_y"] == pytest.approx(peak, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,7 @@ def test_sigma_against_reference_evaluation():
 
 
 def test_sigma_continuous_across_branch_switches():
-    for x0 in (0.05, 650.0):
+    for x0 in (0.05, 3.0, 650.0):
         lo = sigma(x0 * (1.0 - 1e-9))
         hi = sigma(x0 * (1.0 + 1e-9))
         assert lo == pytest.approx(hi, rel=1e-7)
@@ -78,6 +78,12 @@ def test_sigma_underflows_to_zero_for_huge_arguments():
     assert np.all(np.isfinite(vals))
     assert np.all(vals >= 0.0)
     assert np.all(np.diff(vals) <= 0.0)
+
+
+def test_sigma_reads_inf_below_the_float_range():
+    # sigma(x) ~ 20/x**2 is 2e341 at x = 1e-170, past the float range: it reads
+    # inf rather than dividing by an underflowed x*x
+    assert sigma(1e-170) == np.inf
 
 
 def test_x_squared_sigma_asymptotics():

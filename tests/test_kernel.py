@@ -308,12 +308,10 @@ def test_zeta_stable_across_scales():
 
 
 def test_zeta_series_forms_no_power_that_underflows():
-    # sqrt(M)*L = 1e-63 and 2e-62: z**5 is subnormal, while zeta = L**5/120 to O(z**2)
-    for M, L in ((1e-120, 1e-3), (4e-124, 1.0)):
+    # sqrt(M)*L = 1e-63, 2e-62 and 3e-65: z**5 is subnormal, and 12*M**2*sqrt(M)
+    # is too at M = 1e-129, while zeta = L**5/120 to O(z**2)
+    for M, L in ((1e-120, 1e-3), (4e-124, 1.0), (1e-129, 1.0)):
         assert zeta(KernelParams(M, L)) == pytest.approx(L**5 / 120.0, rel=1e-15)
-    # 12*M**2*sqrt(M) = 3.8e-322 is subnormal: refused, as a plain quotient reads 0.013 for 1/120
-    with pytest.raises(ZeroDivisionError, match="denominator 12\\*M\\*\\*2\\*sqrt\\(M\\) = 3.8e-322"):
-        zeta(KernelParams(1e-129, 1.0))
 
 
 def test_zeta_is_integral_of_psi():
