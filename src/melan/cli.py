@@ -117,6 +117,17 @@ def _problem_block(config: dict) -> dict:
     return block
 
 
+def _model_problem(config: dict, cls, fields):
+    """cls from the problem block's numbers `fields` and the parsed load."""
+    block = _problem_block(config)
+    load = _parse_load(config)
+    numbers = {name: _number(block, name, "problem") for name in fields}
+    try:
+        return cls(**numbers, load=load)
+    except ValueError as exc:
+        raise _fail("problem", str(exc)) from exc
+
+
 def _bridge_params(config: dict) -> BridgeParams:
     block = _problem_block(config)
     return BridgeParams(
@@ -255,24 +266,12 @@ def _numerics(config: dict, args) -> dict:
 
 
 def _run_solve_linear(config: dict, args) -> int:
-    block = _problem_block(config)
-    load = _parse_load(config)
-    try:
-        problem = LinearProblem(
-            M=_number(block, "M", "problem"),
-            N=_number(block, "N", "problem"),
-            L=_number(block, "L", "problem"),
-            load=load,
-        )
-    except ValueError as exc:
-        raise _fail("problem", str(exc)) from exc
+    problem = _model_problem(config, LinearProblem, ("M", "N", "L"))
     num = _numerics(config, args)
     out = _out_dir(config, args)
 
-    # Every emitted number is checked for finiteness; numpy need not warn on the way.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sol = solve_linear(problem, grid_points=num["grid_points"])
-        res = residual(sol, problem)
+    sol = solve_linear(problem, grid_points=num["grid_points"])
+    res = residual(sol, problem)
     summary = {
         "M": problem.M,
         "N": problem.N,
@@ -349,19 +348,8 @@ def _write_trace_curves(out: Path, verdict: MonotoneVerdict) -> None:
 
 
 def _run_iterate(config: dict, args) -> int:
-    block = _problem_block(config)
-    load = _parse_load(config)
-    try:
-        problem = MelanProblem(
-            a=_number(block, "a", "problem"),
-            b=_number(block, "b", "problem"),
-            c=_number(block, "c", "problem"),
-            L=_number(block, "L", "problem"),
-            load=load,
-        )
-    except ValueError as exc:
-        raise _fail("problem", str(exc)) from exc
-    lam = _number(block, "lambda", "problem", required=False)
+    problem = _model_problem(config, MelanProblem, ("a", "b", "c", "L"))
+    lam = _number(_problem_block(config), "lambda", "problem", required=False)
     if lam is not None and lam < 0.0:
         raise _fail("problem.lambda", f"expected a nonnegative number, got {lam!r}")
     num = _numerics(config, args)

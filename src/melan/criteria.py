@@ -32,8 +32,10 @@ __all__ = [
 class ConditionReport:
     """Outcome of one inequality check: lhs <= rhs (or < when strict).
 
-    `margin` is (rhs - lhs) / max(|rhs|, tiny): positive when satisfied,
-    with magnitude showing how much slack or violation there is.
+    `margin` is (rhs - lhs) / max(|rhs|, 1e-30): positive when satisfied,
+    with magnitude showing how much slack or violation there is.  Positivity
+    and smallness, whose bound rhs can leave the float range, take both from
+    lhs/rhs formed scale-free: satisfied is lhs/rhs <= 1, margin 1 - lhs/rhs.
     """
 
     name: str

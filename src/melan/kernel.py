@@ -9,8 +9,9 @@ Everything here is written in forms that stay finite and fully accurate for
 stiff parameters: ratios of hyperbolic sines are evaluated through expm1
 products so that no intermediate exceeds exp(0), and quantities that suffer
 subtractive cancellation for small sqrt(M)*L switch to explicit series.
-The integrals are a power of L times a function of z = sqrt(M)*L, the power
-applied last, so nothing over- or underflows unless the value itself does.
+zeta, and the row integrals below sqrt(M)*L = 0.05, are a power of L times
+a function of z = sqrt(M)*L, the power applied last, so they over- or
+underflow only when the value itself does.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ def _product(*factors) -> float:
     x, e = 1.0, 0
     for base, power in factors:
         m, k = math.frexp(base)
-        x = x * m**power if power > 0 else x / m**-power  # within 2**(sum of |power|) of 1
+        # x stays within 2**(sum of |power|) of 1
+        x = x * m if power == 1 else x * m**power if power > 0 else x / m**-power
         e += k * power
-    x, k = math.frexp(x)
-    if e + k > 1024:  # beyond the float range, where math.ldexp raises
-        return x * math.inf if x else 0.0
-    return math.ldexp(x, e + k)
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:  # beyond the float range
+        return x * math.inf
 
 
 def _clip_domain(x, length: float) -> np.ndarray:
@@ -169,27 +171,32 @@ def _const_profile(x, params: KernelParams):
     return num / (1.0 + np.exp(-params.muL))
 
 
+# Decorates a function whose callers check its results: numpy does not warn inside it.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+
+
+@_quiet
 def _row_integrals(x, params: KernelParams):
     """(psi(x), gm_row_integral(x)) for x in [0, L]; unwarned inf or NaN past the float range.
 
     From z = sqrt(M)*L = 0.05 up, gm_row = _const_profile/M and
-    psi = x*(L - x)/(2M) - gm_row/M.  Below, that cancels, and psi = L**4 Psi
+    psi = x*(L - x)/(2M) - gm_row/M, whose M*M leaves the normal range
+    below M = 1.5e-154.  Below z = 0.05 that cancels, and psi = L**4 Psi
     with Psi a series in z**2 and w = (2x/L - 1)**2, and gm_row = L**2 G with
     G = x*(L - x)/(2 L**2) - z**2 Psi, in which nothing cancels.
     """
     M, L, z = params.M, params.L, params.muL
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if z >= 0.05:
-            const = _const_profile(x, params)
-            return x * (L - x) / (2.0 * M) - const / (M * M), const / M
-        u = x / L
-        v, w, z2 = 4.0 * u * (1.0 - u), (2.0 * u - 1.0) ** 2, z * z
-        Psi = v / math.cosh(0.5 * z) * (
-            (5.0 - w) / 384.0
-            + z2 * (14.0 - w * (1.0 + w)) / 46080.0
-            + z2 * z2 * (27.0 - w * (1.0 + w * (1.0 + w))) / 10321920.0
-        )
-        return Psi * (L * L) * (L * L), (v / 8.0 - z2 * Psi) * (L * L)
+    if z >= 0.05:
+        const = _const_profile(x, params)
+        return x * (L - x) / (2.0 * M) - const / (M * M), const / M
+    u = x / L
+    v, w, z2 = 4.0 * u * (1.0 - u), (2.0 * u - 1.0) ** 2, z * z
+    Psi = v / math.cosh(0.5 * z) * (
+        (5.0 - w) / 384.0
+        + z2 * (14.0 - w * (1.0 + w)) / 46080.0
+        + z2 * z2 * (27.0 - w * (1.0 + w * (1.0 + w))) / 10321920.0
+    )
+    return Psi * (L * L) * (L * L), (v / 8.0 - z2 * Psi) * (L * L)
 
 
 def gm_row_integral(x, params: KernelParams):

@@ -38,6 +38,7 @@ from .errors import NonFiniteSolution, NotContractive, SingularResonance
 from .kernel import (
     KernelParams,
     _clip_domain,
+    _quiet,
     _row_integrals,
     gm_row_integral,
     psi,
@@ -207,13 +208,7 @@ class _SampledProfile:
         self.wpsi = ws * (grid_psi if on_grid else psi(s, params))
 
     def convolve(self, values: np.ndarray):
-        """(A, B, Lambda) for the samples `values`; Lambda is Simpson of p*psi.
-
-        Raises NonFiniteSolution on NaN or infinite samples before any
-        arithmetic, so numpy warns nothing (inf times the kernels' zero ends).
-        """
-        if not np.isfinite(values).all():
-            raise NonFiniteSolution("sampled load is not finite")
+        """(A, B, Lambda) for the samples `values`; Lambda is Simpson of p*psi."""
         fwd = _running_sums(values, self.fwd_coef, self.fwd_blocks, reverse=False)
         bwd = _running_sums(values, self.bwd_coef, self.bwd_blocks, reverse=True)
         AB = fwd[self.at] * self.fwd_out
@@ -276,24 +271,22 @@ def _convolve_term(term, x: np.ndarray, params: KernelParams, operator=None):
 
     if isinstance(term, SinhTerm):
         coef, r = term.coef, term.rate
-        # Past rate*L of about 710 the closed form overflows.  That is reported
-        # as NonFiniteSolution below, without numpy's warnings on the way.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if abs(r - mu) <= _RESONANCE_RTOL * mu:
-                # Resonant particular solution of -q'' + M q = coef*sinh(mu*x).
-                q = -coef * x * np.cosh(mu * x) / (2.0 * mu)
-                qL = -coef * L * np.cosh(muL) / (2.0 * mu)
-                int_q = -(coef / (2.0 * mu)) * (
-                    L * np.sinh(muL) / mu - (np.cosh(muL) - 1.0) / mu**2
-                )
-            else:
-                q = coef * np.sinh(r * x) / (M - r * r)
-                qL = coef * np.sinh(r * L) / (M - r * r)
-                int_q = coef * (np.cosh(r * L) - 1.0) / (r * (M - r * r))
-            A = q - qL * sinh_frac(mu * x, muL)
-            B = coef * (x * np.sinh(r * L) / L - np.sinh(r * x)) / r**2
-            intA = int_q - qL * np.tanh(0.5 * muL) / mu
-            intB = coef * (L * np.sinh(r * L) / 2.0 - (np.cosh(r * L) - 1.0) / r) / r**2
+        # Past rate*L of about 710 the closed form overflows (reported below).
+        if abs(r - mu) <= _RESONANCE_RTOL * mu:
+            # Resonant particular solution of -q'' + M q = coef*sinh(mu*x).
+            q = -coef * x * np.cosh(mu * x) / (2.0 * mu)
+            qL = -coef * L * np.cosh(muL) / (2.0 * mu)
+            int_q = -(coef / (2.0 * mu)) * (
+                L * np.sinh(muL) / mu - (np.cosh(muL) - 1.0) / mu**2
+            )
+        else:
+            q = coef * np.sinh(r * x) / (M - r * r)
+            qL = coef * np.sinh(r * L) / (M - r * r)
+            int_q = coef * (np.cosh(r * L) - 1.0) / (r * (M - r * r))
+        A = q - qL * sinh_frac(mu * x, muL)
+        B = coef * (x * np.sinh(r * L) / L - np.sinh(r * x)) / r**2
+        intA = int_q - qL * np.tanh(0.5 * muL) / mu
+        intB = coef * (L * np.sinh(r * L) / 2.0 - (np.cosh(r * L) - 1.0) / r) / r**2
         if not (math.isfinite(intA) and math.isfinite(intB)):
             raise NonFiniteSolution(
                 f"sinh load term (rate {r:.6g}) overflows over the span {L:.6g}"
@@ -310,7 +303,9 @@ def _assemble(load: LoadSpec, x: np.ndarray, params: KernelParams, operator=None
     of the terms' own; B is never summed.  Every term returns fresh arrays, so
     the first term's arrays start the sums in place.  A closed form's power or
     quotient leaving the float range, or sinh_frac's ValueError when
-    sqrt(M)*L underflows to 0, raises NonFiniteSolution.
+    sqrt(M)*L underflows to 0, raises NonFiniteSolution.  Arrays that leave
+    it hold inf or NaN, which every caller refuses; each runs under _quiet,
+    so numpy does not warn on the way.
     """
     first, *rest = load.terms
     try:
@@ -385,6 +380,7 @@ class LinearOperator:
         """(A_tot, y_p, Lambda) of the load on the operator's grid."""
         return _assemble(load, self.grid, self.params, self)
 
+    @_quiet
     def solve(self, load: LoadSpec) -> GridSolution:
         """Solve the linear model for `load`: I = Lambda/(1 + N*zeta), then finish."""
         A_tot, y_p, lam = self.assemble(load)
@@ -416,6 +412,7 @@ class LinearOperator:
         return GridSolution(self.grid, y, ypp, integral_y, self.regime)
 
 
+@_quiet
 def gp_convolution(x, problem: LinearProblem):
     """Convolution of the solution kernel with the load, at positions x.
 
@@ -431,6 +428,7 @@ def gp_convolution(x, problem: LinearProblem):
     return float(out[0]) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
+@_quiet
 def load_moment_g(problem: LinearProblem) -> float:
     """Double integral of the solution kernel against the load (Lambda).
 
@@ -473,6 +471,7 @@ def solve_linear(
     return operator.solve(problem.load)
 
 
+@_quiet
 def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> GridSolution:
     """n-th step of the fixed-point iteration behind the solution formula.
 
@@ -498,6 +497,7 @@ def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> G
     return operator.finish(A_tot, y_p, problem.N * lam * s_prev, float(lam * s_n))
 
 
+@_quiet
 def residual(solution: GridSolution, problem: LinearProblem) -> float:
     """Largest interior defect of the model equation, relative to the load size.
 
@@ -521,16 +521,15 @@ def residual(solution: GridSolution, problem: LinearProblem) -> float:
         ) / (12.0 * h * h)
 
     p_vals = problem.load.evaluate(x, problem.L)
-    # An underflowing step or an overflowing stencil raises below, without warnings.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        defect = (
-            second_diff(ypp)
-            - problem.M * second_diff(y)
-            + problem.N * float(simpson_weights(m, h) @ y)
-            - p_vals[2:-2]
-        )
-        scale = max(1.0, float(np.max(np.abs(p_vals))))
-        res = float(np.max(np.abs(defect))) / scale
+    # An underflowing step or an overflowing stencil raises below (_quiet: without warnings).
+    defect = (
+        second_diff(ypp)
+        - problem.M * second_diff(y)
+        + problem.N * float(simpson_weights(m, h) @ y)
+        - p_vals[2:-2]
+    )
+    scale = max(1.0, float(np.max(np.abs(p_vals))))
+    res = float(np.max(np.abs(defect))) / scale
     if not np.isfinite(res):
         raise NonFiniteSolution(f"the residual check is not finite ({res}) at h = {h:.6g}")
     return res

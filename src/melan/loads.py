@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteSolution
+from .kernel import _quiet
 
 __all__ = [
     "Constant",
@@ -122,9 +123,9 @@ class Sampled:
         xs = np.linspace(0.0, length, self.values.size)
         return np.interp(np.asarray(x, dtype=float), xs, self.values)
 
+    @_quiet  # solvers refuse the overflowing samples
     def scaled(self, factor: float) -> "Sampled":
-        with np.errstate(over="ignore"):  # solvers refuse the overflowing samples
-            return Sampled(self.values * factor)
+        return Sampled(self.values * factor)
 
 
 @dataclass(frozen=True)
@@ -139,11 +140,11 @@ class LoadSpec:
             raise ValueError("a load needs at least one term")
         object.__setattr__(self, "terms", terms)
 
+    @_quiet
     def evaluate(self, x, length: float):
         """The load at the positions x; NonFiniteSolution if a value leaves the float range."""
         x = np.asarray(x, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            total = sum((term.evaluate(x, length) for term in self.terms), np.zeros_like(x))
+        total = sum((term.evaluate(x, length) for term in self.terms), np.zeros_like(x))
         if not np.isfinite(total).all():
             raise NonFiniteSolution(f"the load leaves the float range on [0, {length:.6g}]")
         return total

@@ -187,10 +187,8 @@ class MonotoneVerdict:
 class ZeroShape:
     """The zero function, the canonical lower bound for nonnegative loads."""
 
-    def evaluate(self, x, length):
+    def evaluate(self, x, length, k: int = 0):
         return np.zeros_like(np.asarray(x, dtype=float))
-
-    second = fourth = evaluate
 
     def integral(self, length) -> float:
         return 0.0
@@ -203,15 +201,10 @@ class SineShape:
     amplitude: float
 
     def evaluate(self, x, length, k: int = 0):
-        """amplitude*(pi/L)**k*sin(pi*x/L); the factor overflows only if its value does."""
+        """amplitude*(pi/L)**k*sin(pi*x/L), the k-th derivative for k = 0, 4 and its
+        negative for k = 2; the factor overflows only if its value does."""
         factor = _product((self.amplitude, 1), (np.pi, k), (length, -k))
         return factor * np.sin(np.pi * np.asarray(x, dtype=float) / length)
-
-    def second(self, x, length):
-        return -self.evaluate(x, length, 2)
-
-    def fourth(self, x, length):
-        return self.evaluate(x, length, 4)
 
     def integral(self, length) -> float:
         return 2.0 * self.amplitude * length / np.pi
@@ -226,7 +219,7 @@ def _apply_model(shape, problem: MelanProblem, x: np.ndarray) -> np.ndarray:
     """Evaluate the model for a candidate shape on a grid."""
     L = problem.L
     return _model(problem.a, problem.b, problem.c,
-                  shape.fourth(x, L), shape.second(x, L), shape.integral(L))
+                  shape.evaluate(x, L, 4), -shape.evaluate(x, L, 2), shape.integral(L))
 
 
 def _verify_bound(name: str, sign: float, model: np.ndarray, p: np.ndarray) -> ConditionReport:
@@ -267,15 +260,17 @@ def _bracket(a: float, b: float, c: float, L: float, lam: float, grid_points: in
     """
     M, N = check_sine_conditions(a, b, c, L, lam)
     operator = LinearOperator(M, N, float(L), grid_points)
-    sine = SineShape(lam)
-    y, I = sine.evaluate(operator.grid, L), sine.integral(L)
-    with np.errstate(over="ignore", invalid="ignore"):
-        ypp = sine.second(operator.grid, L)
-        model = _model(a, b, c, sine.fourth(operator.grid, L), ypp, I)
-    for name, samples in (("curvature", ypp), ("model", model)):
-        if not np.isfinite(samples).all():
+    # y, -y'' and the fourth derivative are lam*(pi/L)**k times one sine, for
+    # k = 0, 2, 4; the model's largest value, at midspan, is f4 + (a + b*I)*f2 + c*I.
+    f0, f2, f4 = (_product((lam, 1), (np.pi, k), (L, -k)) for k in (0, 2, 4))
+    I = SineShape(lam).integral(L)
+    for name, peak in (("curvature", f2), ("model", f4 + (a + b * I) * f2 + c * I)):
+        if not math.isfinite(peak):
             raise NonFiniteSolution(f"the sine bound's {name} overflows at L = {L:.6g} "
                                     f"(lam = {lam:.6g})")
+    sine = np.sin(np.pi * operator.grid / L)
+    y, ypp = f0 * sine, -(f2 * sine)
+    model = _model(a, b, c, f4 * sine, ypp, I)
     zero = np.zeros_like(y)
     for samples in (zero, y, ypp, model):
         samples.flags.writeable = False
@@ -392,7 +387,8 @@ def run_monotone(
     # (2); their maxima and minima give the six excesses and the gap.
     diffs = np.empty((3, 2, pair.grid.size))
 
-    # Overflow raises, so a diverging run stops at its first non-finite
+    # Overflow raises here, and a solve leaving the float range raises
+    # NonFiniteSolution, so a diverging run stops at its first non-finite
     # value, and is reported as a divergence rather than as a bad load.
     with np.errstate(over="raise", invalid="raise"):
         try:
@@ -428,7 +424,7 @@ def run_monotone(
                 betas.append(new_beta)
                 gap_bounds.append(_gap_bound(problem.L, pair.rho, n, gap0_pp))
                 gaps.append(float(max(hi[2, 0], -lo[2, 0])))
-        except FloatingPointError as exc:
+        except (FloatingPointError, NonFiniteSolution) as exc:  # a sweep leaves the float range
             raise NonFiniteSolution(
                 f"the {side} iterates diverge: sweep {n} overflows "
                 f"(previous integral {prev.integral:.6g})"
