@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .criteria import ConditionReport, _report, check_positivity, check_sine_conditions
-from .errors import ConfigError, EnvelopeViolation, NotApplicable
+from .errors import ConfigError, EnvelopeViolation
 from .kernel import _product
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
@@ -295,39 +295,25 @@ class BridgeSolution:
     h_w: float
 
 
-def _envelope_bound(report: ApplicabilityReport, x: np.ndarray, L: float) -> np.ndarray:
-    """The envelope's upper edge A*sin(pi*x/L) + B at the positions x."""
-    return report.envelope_sine * np.sin(np.pi * x / L) + report.envelope_const
-
-
 @functools.lru_cache(maxsize=1)
-def _bridge_facts(bp: BridgeParams):
-    """(report, x, bound): a bridge's applicability and its envelope bound on x.
-
-    x is the uniform 1001-point grid on which every live load's envelope is
-    checked.  None of the three depends on the live load, so one slot keeps
-    them for the next load on the same bridge.  x and bound are read-only.
-    """
-    report = applicability(bp)
-    x = uniform_grid(bp.L, 1001)
-    bound = _envelope_bound(report, x, bp.L)
-    x.flags.writeable = bound.flags.writeable = False
-    return report, x, bound
+def _bridge_facts(bp: BridgeParams) -> ApplicabilityReport:
+    """applicability(bp), kept in one slot for the next live load on the same bridge."""
+    return applicability(bp)
 
 
 def _sampled_points(live_load: LoadSpec, L: float) -> np.ndarray:
-    """Extra positions at which the envelope condition is checked.
+    """A sampled term's nodes and the midpoints between them.
 
-    Analytic terms are low-order and smooth, so the dense uniform check grid
-    is a faithful proxy; sampled terms are additionally checked at their own
-    nodes and the midpoints between them.  Only extremes over the points
-    are taken, so they are neither sorted nor deduplicated (`np.unique`
-    would also import `numpy.ma` on a cold start).
+    The envelope condition is checked on the bracket's grid and, for each
+    sampled term, also at these points, where its piecewise-linear shape
+    bends.  Only extremes over the points are taken, so they are neither
+    sorted nor deduplicated (`np.unique` would also import `numpy.ma` on a
+    cold start).
     """
     pts = [np.empty(0)]
     for term in live_load.terms:
         if isinstance(term, Sampled):
-            nodes = np.linspace(0.0, L, len(term.values))
+            nodes = uniform_grid(L, len(term.values))
             pts.append(nodes)
             pts.append(0.5 * (nodes[:-1] + nodes[1:]))
     return np.concatenate(pts)
@@ -343,26 +329,33 @@ def solve_bridge(
 ) -> BridgeSolution:
     """Run the certified two-sided analysis for a live load in kN/m.
 
-    The live load must stay inside the admissible envelope and the
-    applicability verdict must be positive; `force=True` downgrades both
-    refusals to warnings and runs the iteration unverified (its result is
-    then uncertified; an envelope refusal heads the verdict's warnings).
-    The bracket is the standard zero/sine pair of amplitude L/100.  What
-    depends only on the bridge (and grid) is kept for the next live load
-    on the same bridge: the applicability report, the envelope bound on
-    the check grid and the bracket (see make_sine_pair).
+    The bracket is the standard zero/sine pair of amplitude L/100 for the
+    load over EI.  The live load must stay inside the admissible envelope,
+    checked as EI times the bracket's load samples against EI times the
+    sine's model (the envelope's upper edge) and at a sampled term's nodes
+    and midpoints; run_monotone refuses a failing positivity condition.
+    `force=True` downgrades both refusals to warnings and runs the
+    iteration unverified (an envelope refusal heads its warnings).
     """
-    report, x_check, bound_check = _bridge_facts(bp)
+    report = _bridge_facts(bp)
     L = bp.L
+    try:
+        load = live_load.scaled(1.0 / bp.EI)
+    except ValueError as exc:  # a term's field over EI leaves the float range
+        raise ConfigError(f"the live load over EI = {bp.EI:.6g} is not finite: {exc}") from exc
+    problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
+    pair = make_sine_pair(problem, report.lam, grid_points)
 
     x_extra = _sampled_points(live_load, L)
-    p_env = live_load.evaluate(np.concatenate((x_check, x_extra)), L)
-    bound = np.concatenate((bound_check, _envelope_bound(report, x_extra, L)))
+    with np.errstate(over="ignore"):  # a load beyond the float range is outside the band
+        p_env = np.concatenate((bp.EI * pair.p, live_load.evaluate(x_extra, L)))
+    bound = np.concatenate((bp.EI * pair.model, report.envelope_sine
+                            * np.sin(np.pi * x_extra / L) + report.envelope_const))
     slack = _slack(p_env)
     below = float(np.min(p_env))
     excess = float(np.max(p_env - bound))
     outside = None
-    if below < -slack or excess > slack:
+    if below < -slack or not excess <= slack < np.inf:
         msg = (
             f"live load leaves the admissible band 0 <= p <= "
             f"{report.envelope_sine:.6g}*sin(pi*x/L) + {report.envelope_const:.6g}"
@@ -373,18 +366,6 @@ def solve_bridge(
         _warnings.warn(msg, stacklevel=2)
         outside = msg
 
-    if report.verdict == "not-applicable" and not force:
-        raise NotApplicable(
-            f"configuration is not certified: N = {report.positivity.lhs:.6g} "
-            f"exceeds the positivity bound {report.positivity.rhs:.6g}"
-        )
-
-    try:
-        load = live_load.scaled(1.0 / bp.EI)
-    except ValueError as exc:  # a term's field over EI leaves the float range
-        raise ConfigError(f"the live load over EI = {bp.EI:.6g} is not finite: {exc}") from exc
-    problem = MelanProblem(a=report.a, b=report.b, c=report.c, L=L, load=load)
-    pair = make_sine_pair(problem, report.lam, grid_points)
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
     if outside is not None:
         # The run's own bound checks allow roundoff slack that can pass a

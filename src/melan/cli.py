@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -69,14 +69,9 @@ def _integer(block: dict, field: str, path: str, default: int) -> int:
     return value
 
 
-# Closed-form load terms: config tag -> (class, its numeric fields in order).
-_TERMS = {
-    "constant": (Constant, ("value",)),
-    "affine": (Affine, ("c0", "c1")),
-    "sine": (SineHalfWave, ("amplitude",)),
-    "cubic": (Cubic, ("c3",)),
-    "sinh": (SinhTerm, ("coef", "rate")),
-}
+# Closed-form load terms by config tag; each class's fields are its numbers.
+_TERMS = {"constant": Constant, "affine": Affine, "sine": SineHalfWave, "cubic": Cubic,
+          "sinh": SinhTerm}
 
 
 def _load_term(entry: dict, index: int):
@@ -85,8 +80,8 @@ def _load_term(entry: dict, index: int):
         raise _fail(path, "each load term must be an object with a 'type' tag")
     tag = entry["type"]
     if isinstance(tag, str) and tag in _TERMS:
-        cls, fields = _TERMS[tag]
-        return cls(*(_number(entry, name, path) for name in fields))
+        cls = _TERMS[tag]
+        return cls(*(_number(entry, f.name, path) for f in fields(cls)))
     if tag == "sampled":
         values = entry.get("values")
         if not isinstance(values, list) or not values:
@@ -117,11 +112,11 @@ def _problem_block(config: dict) -> dict:
     return block
 
 
-def _model_problem(config: dict, cls, fields):
-    """cls from the problem block's numbers `fields` and the parsed load."""
+def _model_problem(config: dict, cls, names):
+    """cls from the problem block's numbers `names` and the parsed load."""
     block = _problem_block(config)
     load = _parse_load(config)
-    numbers = {name: _number(block, name, "problem") for name in fields}
+    numbers = {name: _number(block, name, "problem") for name in names}
     try:
         return cls(**numbers, load=load)
     except ValueError as exc:

@@ -484,12 +484,12 @@ def picard_iterate(problem: LinearProblem, n: int, grid_points: int = 1001) -> G
     """
     if n < 0:
         raise ValueError(f"iteration count must be nonnegative, got {n}")
-    d = problem.N * zeta(KernelParams(problem.M, problem.L))
+    operator = LinearOperator(problem.M, problem.N, problem.L, grid_points)
+    d = problem.N * operator.zeta
     if abs(d) >= 1.0:
         raise NotContractive(
             f"|N*zeta| = {abs(d):.6g} >= 1: the fixed-point iteration diverges"
         )
-    operator = LinearOperator(problem.M, problem.N, problem.L, grid_points)
     A_tot, y_p, lam = operator.assemble(problem.load)
     # Partial sums of the geometric series in (-d).
     s_prev = sum((-d) ** j for j in range(n))

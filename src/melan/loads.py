@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import NonFiniteSolution
 from .kernel import _quiet
+from .quadrature import uniform_grid
 
 __all__ = [
     "Constant",
@@ -120,7 +121,7 @@ class Sampled:
         object.__setattr__(self, "values", vals)
 
     def evaluate(self, x, length: float):
-        xs = np.linspace(0.0, length, self.values.size)
+        xs = uniform_grid(length, self.values.size)
         return np.interp(np.asarray(x, dtype=float), xs, self.values)
 
     @_quiet  # solvers refuse the overflowing samples

@@ -394,18 +394,49 @@ def test_run_and_report_share_one_positivity_check():
 
 
 def test_solve_bridge_evaluates_the_load_at_most_twice(monkeypatch):
-    # once for the envelope check, once for the whole monotone run
-    calls = []
+    # An analytic load is evaluated on the bracket's nodes alone: the
+    # envelope is checked on the same samples the whole monotone run uses.
+    points = []
     original = LoadSpec.evaluate
 
     def counted(self, x, length):
-        calls.append(self)
+        points.append(np.size(x))
         return original(self, x, length)
 
     monkeypatch.setattr(LoadSpec, "evaluate", counted)
-    run = solve_bridge(span_100(), LoadSpec((Constant(200.0),)))
-    assert run.monotone.iterations >= 3
-    assert len(calls) <= 2
+    for grid in (201, 1001):
+        points.clear()
+        run = solve_bridge(span_100(), LoadSpec((Constant(60.0), SineHalfWave(300.0))),
+                           grid_points=grid)
+        assert run.monotone.iterations >= 3
+        assert sum(points) == grid
+
+
+@pytest.mark.parametrize("side", [1.0 - 1e-6, 1.0 + 1e-6])
+def test_the_envelope_edge_is_refused_alike_on_every_grid(side):
+    # The excess of a constant + half-sine load peaks at the ends or at
+    # midspan, nodes of every odd grid, so the refusal does not depend on it.
+    # The three loads touch the edge at the ends, everywhere and at midspan.
+    bp = span_100()
+    A, B = load_envelope(bp)
+    for const, sine in ((B, 0.0), (B, A), (0.5 * B, A + 0.5 * B)):
+        load = LoadSpec((Constant(side * const), SineHalfWave(side * sine)))
+        for grid in (101, 1001, 3001):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                solve_bridge(bp, load, grid_points=grid, max_iter=1, force=True)
+            refused = any("admissible band" in str(w.message) for w in caught)
+            assert refused == (side > 1.0), (const, sine, grid)
+
+
+def test_a_load_beyond_the_float_range_is_outside_the_band():
+    # c1 = 1e307 is finite over EI, but the load in kN/m overflows near the
+    # far end: the band check must refuse it, not compare inf with inf.
+    load = LoadSpec((Affine(0.0, 1e307),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EnvelopeViolation, match="worst excess = inf"):
+            solve_bridge(span_100(), load, grid_points=101)
 
 
 def test_forced_excessive_load_runs_uncertified():
@@ -723,10 +754,10 @@ def test_each_memo_holds_one_read_only_entry():
     for memo in (melan.bridge._bridge_facts, melan.monotone._bracket):
         info = memo.cache_info()
         assert info.maxsize == 1 and info.currsize == 1
-    report, x, bound = melan.bridge._bridge_facts(span_100())
+    report = melan.bridge._bridge_facts(span_100())
     pair = make_sine_pair(MelanProblem(report.a, report.b, report.c, 100.0, LIVE_LOADS[0]),
                           report.lam, 101)
-    for arr in (x, bound, sol.monotone.pair.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
+    for arr in (sol.monotone.pair.grid, pair.grid, pair.alpha.y, pair.alpha.ypp,
                 pair.beta.y, pair.beta.ypp, pair.model, pair.p):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):

@@ -86,3 +86,17 @@ def test_every_import_is_used_or_wrapped_by_the_tracer(monkeypatch):
     }
     assert unused == TRACER_ONLY_IMPORTS
     assert TRACER_ONLY_IMPORTS <= wrapped
+
+
+def test_only_run_monotone_refuses_an_inapplicable_bracket():
+    # A failing positivity condition is refused in one place, run_monotone's
+    # `refuse`, which raises the class it is given; nothing calls
+    # NotApplicable(...) itself.
+    calls = [
+        f"{name}:{node.lineno}"
+        for name in MODULES
+        for node in ast.walk(ast.parse(Path(importlib.import_module(name).__file__).read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "NotApplicable"
+    ]
+    assert calls == []
