@@ -19,7 +19,7 @@ import numpy as np
 
 from .criteria import ConditionReport, _report, check_positivity, check_sine_conditions
 from .errors import ConfigError, EnvelopeViolation
-from .kernel import _product
+from .kernel import _product, _quiet
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
 from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
@@ -119,6 +119,7 @@ class _Resolved:
     Lc: float
 
 
+@_quiet
 def cable_length(L: float, qh: float) -> float:
     """Length of a parabolic cable over span L with dead-load ratio qh = q/H.
 
@@ -130,12 +131,11 @@ def cable_length(L: float, qh: float) -> float:
         raise ValueError(f"L must be positive and finite, got {L}")
     if not (qh > 0.0 and np.isfinite(qh)):
         raise ValueError(f"qh must be positive and finite, got {qh}")
-    half_slope = 0.5 * L * qh
-    try:
-        with np.errstate(over="raise"):
-            return 0.5 * L * np.sqrt(1.0 + half_slope**2) + np.arcsinh(half_slope) / qh
-    except (OverflowError, FloatingPointError) as exc:
-        raise ConfigError(f"the cable length overflows (L = {L:.6g}, q/H = {qh:.6g})") from exc
+    half_slope = np.float64(0.5 * L * qh)
+    length = 0.5 * L * np.sqrt(1.0 + half_slope**2) + np.arcsinh(half_slope) / qh
+    if not np.isfinite(length):
+        raise ConfigError(f"the cable length overflows (L = {L:.6g}, q/H = {qh:.6g})")
+    return length
 
 
 def derive_coefficients(bp: BridgeParams) -> Tuple[float, float, float]:
@@ -319,6 +319,7 @@ def _sampled_points(live_load: LoadSpec, L: float) -> np.ndarray:
     return np.concatenate(pts)
 
 
+@_quiet
 def solve_bridge(
     bp: BridgeParams,
     live_load: LoadSpec,
@@ -347,8 +348,7 @@ def solve_bridge(
     pair = make_sine_pair(problem, report.lam, grid_points)
 
     x_extra = _sampled_points(live_load, L)
-    with np.errstate(over="ignore"):  # a load beyond the float range is outside the band
-        p_env = np.concatenate((bp.EI * pair.p, live_load.evaluate(x_extra, L)))
+    p_env = np.concatenate((bp.EI * pair.p, live_load.evaluate(x_extra, L)))
     bound = np.concatenate((bp.EI * pair.model, report.envelope_sine
                             * np.sin(np.pi * x_extra / L) + report.envelope_const))
     slack = _slack(p_env)
@@ -363,7 +363,7 @@ def solve_bridge(
         )
         if not force:
             raise EnvelopeViolation(msg)
-        _warnings.warn(msg, stacklevel=2)
+        _warnings.warn(msg, stacklevel=3)  # past _quiet's wrapper, at the caller
         outside = msg
 
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)

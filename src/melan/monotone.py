@@ -40,7 +40,7 @@ from .errors import (
     NotApplicable,
     NotConverged,
 )
-from .kernel import _product
+from .kernel import _product, _quiet
 from .linear import GridSolution, LinearOperator, LinearProblem, solve_linear
 from .loads import LoadSpec, Sampled
 # Unused here, but perfbench/tracer.py wraps melan.monotone.integrate.
@@ -70,7 +70,8 @@ def _slack(values: np.ndarray) -> float:
 
 def _gap_bound(L: float, rho: float, n: int, gap0_pp: float) -> float:
     """(L**2/4)*rho**n*gap0_pp, the a-priori bracket width after n sweeps (rho clamped at 0)."""
-    return (L**2 / 4.0) * max(rho, 0.0) ** n * gap0_pp
+    # numpy's powers keep Python's bits and give inf, not OverflowError, past the float range
+    return float((np.float64(L) ** 2 / 4.0) * np.float64(max(rho, 0.0)) ** n * gap0_pp)
 
 
 @dataclass(frozen=True)
@@ -332,6 +333,7 @@ def iterate_once(prev: Iterate, pair: BoundPair) -> Iterate:
     return Iterate(y=sol.y, ypp=sol.ypp, integral=sol.integral_y)
 
 
+@_quiet
 def run_monotone(
     pair: BoundPair,
     max_iter: int = 100,
@@ -387,48 +389,44 @@ def run_monotone(
     # (2); their maxima and minima give the six excesses and the gap.
     diffs = np.empty((3, 2, pair.grid.size))
 
-    # Overflow raises here, and a solve leaving the float range raises
-    # NonFiniteSolution, so a diverging run stops at its first non-finite
-    # value, and is reported as a divergence rather than as a bad load.
-    with np.errstate(over="raise", invalid="raise"):
-        try:
-            # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
-            while not gaps[-1] < tol and len(gaps) <= max_iter:
-                n = len(gaps)
-                prev_alpha, prev_beta = alphas[-1], betas[-1]
-                side, prev = "lower", prev_alpha
-                new_alpha = iterate_once(prev, pair)
-                side, prev = "upper", prev_beta
-                new_beta = iterate_once(prev, pair)
-                for k, (first, second) in enumerate(
-                        ((prev_alpha, new_alpha), (new_beta, prev_beta), (new_beta, new_alpha))):
-                    np.subtract(first.y, second.y, out=diffs[k, 0])
-                    np.subtract(first.ypp, second.ypp, out=diffs[k, 1])
-                hi, lo = diffs.max(axis=2), diffs.min(axis=2)
+    # A solve leaving the float range raises NonFiniteSolution: a diverging run stops
+    # at its first non-finite value and is reported as a divergence, not a bad load.
+    try:
+        # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
+        while not gaps[-1] < tol and len(gaps) <= max_iter:
+            n = len(gaps)
+            prev_alpha, prev_beta = alphas[-1], betas[-1]
+            side, prev = "lower", prev_alpha
+            new_alpha = iterate_once(prev, pair)
+            side, prev = "upper", prev_beta
+            new_beta = iterate_once(prev, pair)
+            for k, (first, second) in enumerate(
+                    ((prev_alpha, new_alpha), (new_beta, prev_beta), (new_beta, new_alpha))):
+                np.subtract(first.y, second.y, out=diffs[k, 0])
+                np.subtract(first.ypp, second.ypp, out=diffs[k, 1])
+            hi, lo = diffs.max(axis=2), diffs.min(axis=2)
 
-                checks = (
-                    ("lower iterates must not descend", hi[0, 0], tol_y),
-                    ("upper iterates must not ascend", hi[1, 0], tol_y),
-                    ("lower curvature must not ascend", -lo[0, 1], tol_pp),
-                    ("upper curvature must not descend", -lo[1, 1], tol_pp),
-                    ("bracket ordering must hold", -lo[2, 0], tol_y),
-                    ("bracket curvature ordering must hold", hi[2, 1], tol_pp),
-                )
-                for label, excess, allowance in checks:
-                    if excess > allowance:
-                        refuse(MonotonicityViolation,
-                               f"sweep {n}: {label} (excess {float(excess):.6g})")
-                        violated = True
+            checks = (
+                ("lower iterates must not descend", hi[0, 0], tol_y),
+                ("upper iterates must not ascend", hi[1, 0], tol_y),
+                ("lower curvature must not ascend", -lo[0, 1], tol_pp),
+                ("upper curvature must not descend", -lo[1, 1], tol_pp),
+                ("bracket ordering must hold", -lo[2, 0], tol_y),
+                ("bracket curvature ordering must hold", hi[2, 1], tol_pp),
+            )
+            for label, excess, allowance in checks:
+                if excess > allowance:
+                    refuse(MonotonicityViolation,
+                           f"sweep {n}: {label} (excess {float(excess):.6g})")
+                    violated = True
 
-                alphas.append(new_alpha)
-                betas.append(new_beta)
-                gap_bounds.append(_gap_bound(problem.L, pair.rho, n, gap0_pp))
-                gaps.append(float(max(hi[2, 0], -lo[2, 0])))
-        except (FloatingPointError, NonFiniteSolution) as exc:  # a sweep leaves the float range
-            raise NonFiniteSolution(
-                f"the {side} iterates diverge: sweep {n} overflows "
-                f"(previous integral {prev.integral:.6g})"
-            ) from exc
+            alphas.append(new_alpha)
+            betas.append(new_beta)
+            gap_bounds.append(_gap_bound(problem.L, pair.rho, n, gap0_pp))
+            gaps.append(float(max(hi[2, 0], -lo[2, 0])))
+    except NonFiniteSolution as exc:  # a sweep leaves the float range
+        raise NonFiniteSolution(f"the {side} iterates diverge: sweep {n} overflows "
+                                f"(previous integral {prev.integral:.6g})") from exc
 
     iterations = len(gaps) - 1
     converged = gaps[-1] < tol
@@ -457,12 +455,13 @@ def run_monotone(
     )
 
 
+@_quiet
 def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
     """A-priori error estimates after n sweeps of a contracting iteration.
 
     Returns (a_priori, gap_bound).  gap_bound = (L**2/4) * rho**n *
     ||alpha0'' - beta0''||_inf limits the bracket width; it is computed as
-    gap_bounds[n] is, so the two agree exactly.  a_priori = gap_bound /
+    gap_bounds[n] is, so the two agree exactly (inf past the float range).  a_priori = gap_bound /
     (1 - rho) limits the sup-norm distance from either n-th iterate to the
     extremal solution it converges to.  n may exceed the sweeps the run
     made.  Only available for rho < 1.

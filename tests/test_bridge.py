@@ -164,6 +164,23 @@ def test_applicability_span_100_certified():
     assert rep.sag_ratio.satisfied
 
 
+def test_applicability_certified_existence_without_uniqueness():
+    # A flat sag ratio n = 0.05 < 1/15.32 misses the gate, and b is about 8%
+    # past the uniqueness-sine bound while positivity keeps an 8% margin: the
+    # bracket holds the extremal solutions, and the run certifies them.
+    with pytest.warns(UserWarning, match="sag-span ratio"):
+        bp = BridgeParams(L=100.0, EI=4.557e8, EcAc=1.6e7, n=0.05, H=19850.4)
+    rep = applicability(bp)
+    assert rep.verdict == "certified-existence"
+    assert rep.positivity.satisfied and rep.positivity.margin == pytest.approx(0.0834, abs=1e-4)
+    assert not rep.uniqueness_sine.satisfied
+    assert rep.uniqueness_sine.margin == pytest.approx(-0.0827, abs=1e-4)
+    assert not rep.sag_ratio.satisfied
+    sol = solve_bridge(bp, LoadSpec((Constant(10.0),)))
+    assert sol.report.verdict == "certified-existence"
+    assert sol.monotone.certified
+
+
 def test_applicability_span_460_not_applicable():
     rep = applicability(span_460())
     assert rep.verdict == "not-applicable"
@@ -444,7 +461,8 @@ def test_forced_excessive_load_runs_uncertified():
         warnings.simplefilter("always")
         result = solve_bridge(span_100(), LoadSpec((Constant(600.0),)),
                               grid_points=201, force=True, max_iter=200)
-    assert any("admissible band" in str(w.message) for w in caught)
+    # the warning points at the caller's line, past solve_bridge's _quiet wrapper
+    assert [w.filename for w in caught if "admissible band" in str(w.message)] == [__file__]
     assert not result.monotone.certified
 
 
@@ -615,6 +633,10 @@ def _flat_pair_at(L):
         # the flat bracket lam = 0: M = a, N = c and no curvature, at any span
         (_flat_sine_conditions, 1e-170, (0.1, 0.1)),
         (_flat_pair_at, 1e-170, (0.1, 0.1, 0.0, 0.0)),
+        # x*(L - x) = 2.5e319 on the closed-form branch, but psi = L**2/(8M) = 1.25e19
+        # and gm_row_integral = 1/M at midspan, and zeta = L**3/(12M) = 8.3e178
+        (_grid_11_extremes, (1e300, 0.0, 1e160, Constant(1.0)),
+         ("unconditional", 1.25e19, 1e-300)),
     ],
     ids=lambda arg: arg.__name__.lstrip("_") if callable(arg) else None,
 )

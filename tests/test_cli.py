@@ -487,6 +487,15 @@ GRID_11 = {"numerics": {"grid_points": 11}}
         ("iterate", {"a": 0.1, "b": 0.1, "c": 0.1, "L": 2.95e-64},
          [{"type": "sine", "amplitude": 0.1}], GRID_11, [], 3,
          "numerical failure: trace.json would hold a non-finite number"),
+        # forced long runs: rho = 194.5, so the a-priori gap bound (L**2/4)*rho**n
+        # passes the float range near sweep 135 and saturates to inf
+        ("iterate", {"a": 0.001, "b": 10.0, "c": 1.0, "L": 10.0, "lambda": 1.0},
+         [{"type": "constant", "value": 0.1}], {"numerics": {"max_iter": 1000}}, ["--force"],
+         3, "numerical failure: trace.json would hold a non-finite number"),
+        # L**2 = 4e308 at sweep 0; the first sweep's sampled convolution then overflows
+        ("iterate", {"a": 1.0, "b": 1e-12, "c": 1e-12, "L": 2e154},
+         [{"type": "constant", "value": 1.0}], GRID_11, ["--force"], 3,
+         "numerical failure: the lower iterates diverge: sweep 1 overflows"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
@@ -496,7 +505,8 @@ GRID_11 = {"numerics": {"grid_points": 11}}
          "underflowing-sigma", "overflowing-scaled-load", "overflowing-load",
          "string-force", "boolean-sample",
          "string-sample",
-         "overflowing-integer-sample", "numeric-output-dir", "non-finite-trace"],
+         "overflowing-integer-sample", "numeric-output-dir", "non-finite-trace",
+         "saturating-gap-bound", "overflowing-initial-gap-bound"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
                                            blocks, flags, code, message):

@@ -106,6 +106,19 @@ def test_xi_golden_and_reference():
         assert xi(z) == pytest.approx(ref, rel=1e-13)
 
 
+def test_xi_series_branch_matches_mpmath():
+    # below x = 0.1 xi is x**4*(1/24 + x**2/360 + ...), whose first omitted
+    # term is 3e-15 relative at 0.1 (pytest.approx's default abs=1e-12 would
+    # pass any of these values, so the check is written out)
+    xs = [float(x) for x in np.logspace(-70, -1, 70)[:-1]]
+    xs += [float(x) for x in np.linspace(0.095, 0.1, 41)[:-1]]
+    for x in xs:
+        with mp.workdps(30 - 4 * int(np.log10(x))):  # the closed form cancels like x**-4
+            ref = (mp.mpf(x) / 2) * mp.sinh(x) - mp.cosh(x) + 1
+            assert abs(xi(x) - ref) <= 1e-14 * ref, x
+    assert xi(0.0) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # positivity
 

@@ -100,3 +100,29 @@ def test_only_run_monotone_refuses_an_inapplicable_bracket():
         and node.func.id == "NotApplicable"
     ]
     assert calls == []
+
+
+def _named(node):
+    """The name a Name or Attribute node reads (`np.errstate` reads errstate), else None."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def test_only_quiet_sets_the_floating_point_state():
+    # One floating-point rule: each solver entry point runs under kernel._quiet,
+    # as a decorator, and checks what it returns.  numpy's errstate appears only
+    # in _quiet's definition, no code enters `with _quiet:` (its one errstate
+    # object cannot be entered twice), and nothing catches FloatingPointError.
+    found = []
+    for name in MODULES:
+        tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+        definition = {id(node) for assign in ast.walk(tree) if isinstance(assign, ast.Assign)
+                      and [_named(t) for t in assign.targets] == ["_quiet"]
+                      for node in ast.walk(assign.value)}
+        for node in ast.walk(tree):
+            if _named(node) == "errstate" and id(node) not in definition:
+                found.append(f"{name}:{node.lineno} errstate")
+            elif _named(node) == "FloatingPointError":
+                found.append(f"{name}:{node.lineno} FloatingPointError")
+            elif isinstance(node, ast.withitem) and _named(node.context_expr) == "_quiet":
+                found.append(f"{name}:{node.context_expr.lineno} with _quiet")
+    assert found == []
