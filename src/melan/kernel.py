@@ -36,8 +36,6 @@ __all__ = [
 # Relative slack allowed when checking that abscissae lie inside [0, L].
 _DOMAIN_SLACK = 1e-9
 
-_TINY = 2.2250738585072014e-308  # the smallest normal float
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -182,10 +180,8 @@ def _row_integrals(x, params: KernelParams):
     """(psi(x), gm_row_integral(x)) for x in [0, L]; unwarned inf or NaN past the float range.
 
     From z = sqrt(M)*L = 0.05 up, gm_row = _const_profile/M and
-    psi = x*(L - x)/(2M) - gm_row/M.  Where M*M is subnormal (M below
-    1.5e-154) or x*(L - x) overflows (L above 2.7e154), the same terms are
-    rounded as x*((L - x)/(2M)) - gm_row/M, which leave the float range only
-    with psi.  Below z = 0.05 that cancels, and psi = L**4 Psi
+    psi = x*((L - x)/(2M)) - gm_row/M, whose terms leave the float range
+    only with psi.  Below z = 0.05 that cancels, and psi = L**4 Psi
     with Psi a series in z**2 and w = (2x/L - 1)**2, and gm_row = L**2 G with
     G = x*(L - x)/(2 L**2) - z**2 Psi, in which nothing cancels.
     """
@@ -193,9 +189,7 @@ def _row_integrals(x, params: KernelParams):
     if z >= 0.05:
         const = _const_profile(x, params)
         gm_row = const / M
-        if M * M < _TINY or not math.isfinite(0.5 * L * (0.5 * L)):
-            return x * ((L - x) / (2.0 * M)) - gm_row / M, gm_row
-        return x * (L - x) / (2.0 * M) - const / (M * M), gm_row
+        return x * ((L - x) / (2.0 * M)) - gm_row / M, gm_row
     u = x / L
     v, w, z2 = 4.0 * u * (1.0 - u), (2.0 * u - 1.0) ** 2, z * z
     Psi = v / math.cosh(0.5 * z) * (

@@ -154,12 +154,6 @@ def _pairs(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
-def _moment_weights(params: KernelParams, s: np.ndarray, s_psi=None):
-    """(w, w*psi(s)), w the Simpson weights of uniform nodes s: samples' Lambda is (w*psi) @ p."""
-    ws = simpson_weights(s.size, params.L / (s.size - 1))
-    return ws, ws * (psi(s, params) if s_psi is None else s_psi)
-
-
 class _SampledProfile:
     """Simpson sums of `ns` uniform samples against both kernels and psi.
 
@@ -195,7 +189,7 @@ class _SampledProfile:
         lo = np.arange(ns) if on_grid else np.searchsorted(s, x, side="right") - 1
         hi = np.minimum(lo + 1, ns - 1)
         u = L - s
-        ws, self.wpsi = _moment_weights(params, s, grid_psi)
+        ws = simpson_weights(ns, L / (ns - 1))
         Ps, Pu = P(s), P(u)
         self.fwd_blocks, fwd_scale = _damping_blocks(s, mu)
         self.bwd_blocks, bwd_scale = _damping_blocks(u[::-1], mu)
@@ -211,6 +205,7 @@ class _SampledProfile:
         self.bwd_out = _pairs(right, x / L)
         # Both running sums are read at row lo + 1 (samples j <= lo, resp. j > lo).
         self.at = slice(1, None) if on_grid else lo + 1
+        self.wpsi = ws * (grid_psi if on_grid else psi(s, params))
 
     def convolve(self, values: np.ndarray):
         """(A, B, Lambda) for the samples `values`; Lambda is Simpson of p*psi."""
@@ -438,17 +433,12 @@ def load_moment_g(problem: LinearProblem) -> float:
     """Double integral of the solution kernel against the load (Lambda).
 
     Equals the integral over the span of gp_convolution, and of load*psi;
-    for a unit constant load it reduces to zeta(M, L).  No grid enters: an
-    analytic term is convolved at the span's ends only, a sampled one is its
-    Simpson sum of p*psi, summed in a solve's order.  Raises
+    for a unit constant load it reduces to zeta(M, L).  No grid enters, so
+    the convolutions are taken at the span's ends only.  Raises
     NonFiniteSolution when the result is NaN or infinite.
     """
-    params, ends = KernelParams(problem.M, problem.L), np.array([0.0, problem.L])
-    first, *rest = [
-        float(_moment_weights(params, uniform_grid(params.L, t.values.size))[1] @ t.values)
-        if isinstance(t, Sampled) else _assemble(LoadSpec((t,)), ends, params)[2]
-        for t in problem.load.terms]
-    lam = sum(rest, first)
+    ends = np.array([0.0, problem.L])
+    _, _, lam = _assemble(problem.load, ends, KernelParams(problem.M, problem.L))
     if not math.isfinite(lam):
         raise NonFiniteSolution(f"load moment is not finite ({lam:.6g})")
     return float(lam)

@@ -70,8 +70,11 @@ def _slack(values: np.ndarray) -> float:
 
 def _gap_bound(L: float, rho: float, n: int, gap0_pp: float) -> float:
     """(L**2/4)*rho**n*gap0_pp, the a-priori bracket width after n sweeps (rho clamped at 0)."""
+    if gap0_pp == 0.0 or (rho <= 0.0 and n > 0):  # an exact 0, also where L**2/4 is inf
+        return 0.0
     # numpy's powers keep Python's bits and give inf, not OverflowError, past the float range
-    return float((np.float64(L) ** 2 / 4.0) * np.float64(max(rho, 0.0)) ** n * gap0_pp)
+    bound = float((np.float64(L) ** 2 / 4.0) * np.float64(max(rho, 0.0)) ** n * gap0_pp)
+    return math.inf if math.isnan(bound) else bound  # inf*0: rho**n underflowed
 
 
 @dataclass(frozen=True)
@@ -389,8 +392,8 @@ def run_monotone(
     # (2); their maxima and minima give the six excesses and the gap.
     diffs = np.empty((3, 2, pair.grid.size))
 
-    # A solve leaving the float range raises NonFiniteSolution: a diverging run stops
-    # at its first non-finite value and is reported as a divergence, not a bad load.
+    # A solve or a difference leaving the float range raises NonFiniteSolution: a diverging
+    # run stops at its first non-finite value and is reported as a divergence, not a bad load.
     try:
         # `not <` rather than `>=`, so a NaN gap keeps sweeping to max_iter.
         while not gaps[-1] < tol and len(gaps) <= max_iter:
@@ -405,6 +408,8 @@ def run_monotone(
                 np.subtract(first.y, second.y, out=diffs[k, 0])
                 np.subtract(first.ypp, second.ypp, out=diffs[k, 1])
             hi, lo = diffs.max(axis=2), diffs.min(axis=2)
+            if not np.isfinite((hi, lo)).all():  # finite iterates, overflowing differences
+                raise NonFiniteSolution("iterate differences overflow")
 
             checks = (
                 ("lower iterates must not descend", hi[0, 0], tol_y),

@@ -4,7 +4,9 @@ The standard instance used throughout is a = b = c = 0.1, L = 2 with a
 constant load p = 0.1 and a sine bracket of amplitude pi/4.
 """
 
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from melan.errors import (
     NotApplicable,
     NotConverged,
 )
+from melan.monotone import _gap_bound
 
 SINE_N = (16.0 + np.pi ** 3) / 160.0
 LAM = np.pi / 4.0
@@ -453,6 +456,33 @@ def test_diverging_forced_run_reports_the_divergence():
                            match=r"the (lower|upper) iterates diverge: sweep \d+ overflows "
                                  r"\(previous integral -?\d"):
             run_monotone(pair, max_iter=20, strict=False)
+
+
+def test_overflowing_iterate_differences_report_the_divergence():
+    # Both new iterates are finite, but the upper one rises from -1.7e308 to
+    # 2.6e307, a step past the float range: the run stops as a divergence
+    problem = MelanProblem(a=1e-3, b=1.0, c=1e-12, L=3.0, load=LoadSpec((Constant(1.0),)))
+    pair = make_sine_pair(problem, 1e-6, 11)
+    ones = np.ones(11)
+    start = Iterate(y=np.full(11, -1.7e308), ypp=ones, integral=2.4671846255116354e307)
+    assert np.isfinite(iterate_once(start, pair).y).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteSolution,
+                           match=r"the upper iterates diverge: sweep 1 overflows"):
+            run_monotone(replace(pair, beta=start), max_iter=1, strict=False)
+
+
+@pytest.mark.parametrize("L, rho, n, gap0_pp, want", [
+    (2.0, 0.5, 3, 3.0, (2.0**2 / 4.0) * 0.5**3 * 3.0),  # Python's bits in the float range
+    (2e154, 0.0, 3, 1.0, 0.0),                           # rho = 0 (b = 0 or lam = 0)
+    (2e154, 0.5, 0, 0.0, 0.0),                           # equal initial curvatures (lam = 0)
+    (2e154, 0.5, 1, 1.0, math.inf),                      # saturates
+    (2e154, 1e-5, 100, 1.0, math.inf),                   # rho**n underflows: inf, not NaN
+])
+def test_gap_bound_saturates(L, rho, n, gap0_pp, want):
+    with np.errstate(all="ignore"):
+        assert _gap_bound(L, rho, n, gap0_pp) == want
 
 
 def test_overflowing_sine_curvature_raises():

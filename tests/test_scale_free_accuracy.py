@@ -77,7 +77,8 @@ def mp_profiles(z: float, u):
 def test_psi_and_gm_row_are_L_powers_of_functions_of_z(L):
     # both within 2e-12 of their largest value, on both sides of the series
     # switch at z = 0.05 and wherever psi = L**4 * Psi is finite; at L = 3.5e76
-    # the closed form's M*M is subnormal from z = 0.05 (M = 2e-156) to 4.3
+    # M*M is subnormal from z = 0.05 (M = 2e-156) to 4.3, so the closed form
+    # must not divide by it
     u = np.linspace(0.0, 1.0, 11)
     zs = [float(z) for z in np.logspace(-150, 2.8, 40)]
     zs += [0.049, 0.0499999, 0.05, 0.0500001, 0.051]
