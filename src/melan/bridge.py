@@ -188,8 +188,8 @@ class ApplicabilityReport:
     """Certification status of the standard bracket for a bridge configuration.
 
     Carries the derived coefficients, the frozen linearization (M, N) for
-    the sine bound of amplitude lam = L/100, each inequality report, the
-    physical load envelope, and the overall verdict:
+    the sine bound of amplitude lam = L/100, each inequality report and the
+    physical load envelope; the overall verdict follows from the reports:
 
     - "certified-unique": positivity holds and either the sag-ratio gate
       or the sine uniqueness bound holds — the iteration brackets a single
@@ -217,7 +217,12 @@ class ApplicabilityReport:
     sag_ratio: ConditionReport
     envelope_sine: float
     envelope_const: float
-    verdict: str
+
+    @property
+    def verdict(self) -> str:
+        return ("not-applicable" if not self.positivity.satisfied
+                else "certified-unique" if self.sag_ratio.satisfied
+                or self.uniqueness_sine.satisfied else "certified-existence")
 
     @property
     def reports(self) -> List[ConditionReport]:
@@ -255,9 +260,6 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
         "uniqueness-sine", (40.0 / np.pi + 5.0 * np.pi**2) * b / 100.0, bound_b
     )
     sag_ratio = _report("sag-ratio", _SAG_GATE, r.n)
-    verdict = ("not-applicable" if not positivity.satisfied
-               else "certified-unique" if sag_ratio.satisfied or uniqueness_sine.satisfied
-               else "certified-existence")
     for rep in (positivity, necessary_b, necessary_c, uniqueness_sine):
         if not all(np.isfinite((rep.lhs, rep.rhs, rep.margin))):
             raise ConfigError(f"the {rep.name} condition leaves the float range at span "
@@ -275,7 +277,6 @@ def applicability(bp: BridgeParams) -> ApplicabilityReport:
         sag_ratio=sag_ratio,
         envelope_sine=A,
         envelope_const=B,
-        verdict=verdict,
     )
 
 
@@ -368,9 +369,9 @@ def solve_bridge(
 
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
     if outside is not None:
-        # The run's own bound checks allow roundoff slack that can pass a
-        # load just outside the envelope, so the forced refusal decides.
-        verdict = replace(verdict, certified=False, warnings=(outside, *verdict.warnings))
+        # The run's own bound checks allow roundoff slack that can pass a load just
+        # outside the envelope; the forced refusal, as a warning, uncertifies the run.
+        verdict = replace(verdict, warnings=(outside, *verdict.warnings))
 
     deflection = GridSolution(
         grid=verdict.pair.grid,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields
 from importlib import resources
 from pathlib import Path
 from typing import List, Optional
@@ -69,6 +69,15 @@ def _integer(block: dict, field: str, path: str, default: int) -> int:
     return value
 
 
+def _record(cls, block: dict, path: str, **given):
+    """cls from `given` and a number from `block` for each other init field, in
+    declaration order; a field is required unless it has a default."""
+    for f in fields(cls):
+        if f.init and f.name not in given:
+            given[f.name] = _number(block, f.name, path, required=f.default is MISSING)
+    return cls(**given)
+
+
 # Closed-form load terms by config tag; each class's fields are its numbers.
 _TERMS = {"constant": Constant, "affine": Affine, "sine": SineHalfWave, "cubic": Cubic,
           "sinh": SinhTerm}
@@ -80,8 +89,7 @@ def _load_term(entry: dict, index: int):
         raise _fail(path, "each load term must be an object with a 'type' tag")
     tag = entry["type"]
     if isinstance(tag, str) and tag in _TERMS:
-        cls = _TERMS[tag]
-        return cls(*(_number(entry, f.name, path) for f in fields(cls)))
+        return _record(_TERMS[tag], entry, path)
     if tag == "sampled":
         values = entry.get("values")
         if not isinstance(values, list) or not values:
@@ -112,28 +120,12 @@ def _problem_block(config: dict) -> dict:
     return block
 
 
-def _model_problem(config: dict, cls, names):
-    """cls from the problem block's numbers `names` and the parsed load."""
-    block = _problem_block(config)
-    load = _parse_load(config)
-    numbers = {name: _number(block, name, "problem") for name in names}
+def _model_problem(config: dict, cls):
+    """cls from the problem block's numbers and the parsed load."""
     try:
-        return cls(**numbers, load=load)
+        return _record(cls, _problem_block(config), "problem", load=_parse_load(config))
     except ValueError as exc:
         raise _fail("problem", str(exc)) from exc
-
-
-def _bridge_params(config: dict) -> BridgeParams:
-    block = _problem_block(config)
-    return BridgeParams(
-        L=_number(block, "L", "problem"),
-        EI=_number(block, "EI", "problem"),
-        EcAc=_number(block, "EcAc", "problem"),
-        n=_number(block, "n", "problem", required=False),
-        H=_number(block, "H", "problem", required=False),
-        q=_number(block, "q", "problem", required=False),
-        Lc=_number(block, "Lc", "problem", required=False),
-    )
 
 
 def _resolve_config_path(name: str) -> str:
@@ -261,7 +253,7 @@ def _numerics(config: dict, args) -> dict:
 
 
 def _run_solve_linear(config: dict, args) -> int:
-    problem = _model_problem(config, LinearProblem, ("M", "N", "L"))
+    problem = _model_problem(config, LinearProblem)
     num = _numerics(config, args)
     out = _out_dir(config, args)
 
@@ -289,7 +281,7 @@ def _run_solve_linear(config: dict, args) -> int:
 
 
 def _run_check(config: dict, args) -> int:
-    bp = _bridge_params(config)
+    bp = _record(BridgeParams, _problem_block(config), "problem")
     num = _numerics(config, args)
     out = _out_dir(config, args)
     report = applicability(bp)
@@ -343,7 +335,7 @@ def _write_trace_curves(out: Path, verdict: MonotoneVerdict) -> None:
 
 
 def _run_iterate(config: dict, args) -> int:
-    problem = _model_problem(config, MelanProblem, ("a", "b", "c", "L"))
+    problem = _model_problem(config, MelanProblem)
     lam = _number(_problem_block(config), "lambda", "problem", required=False)
     if lam is not None and lam < 0.0:
         raise _fail("problem.lambda", f"expected a nonnegative number, got {lam!r}")
@@ -369,7 +361,7 @@ def _run_iterate(config: dict, args) -> int:
 
 
 def _run_bridge_report(config: dict, args) -> int:
-    bp = _bridge_params(config)
+    bp = _record(BridgeParams, _problem_block(config), "problem")
     load = _parse_load(config)
     num = _numerics(config, args)
     out = _out_dir(config, args)

@@ -86,22 +86,26 @@ def sigma(x: float) -> float:
     return _product(*((base, -power) for base, power in _inverse_z2sigma(x)), (x, -2))
 
 
+# xi(x)/x**4 = sum_j (j + 1)/(2j + 4)! x**(2j), highest term first
+_XI_SERIES = tuple((j + 1) / math.factorial(2 * j + 4) for j in reversed(range(12)))
+
+
 def xi(x: float) -> float:
     """(x/2)*sinh(x) - cosh(x) + 1, for x >= 0.
 
-    Starts at x**4/24, so small arguments use the series; otherwise the
-    factored form (x-2)*exp(x)/4 - (x+2)*exp(-x)/4 + 1 is exact and only
-    overflows when the value itself does.
+    Starts at x**4/24.  Below x = 2 the series, whose twelve terms are all
+    positive; then the factored form (x-2)*exp(x)/4 - (x+2)*exp(-x)/4 + 1,
+    which cancels less than twofold and only overflows when the value
+    itself does.
     """
     x = float(x)
     if not (x >= 0.0 and np.isfinite(x)):
         raise ValueError(f"xi requires x >= 0, got {x}")
-    if x < 0.1:
-        x2 = x * x
-        return x2 * x2 * (
-            1.0 / 24.0
-            + x2 * (1.0 / 360.0 + x2 * (1.0 / 13440.0 + x2 / 907200.0))
-        )
+    if x < 2.0:
+        x2, q = x * x, 0.0
+        for coef in _XI_SERIES:
+            q = coef + x2 * q
+        return x2 * x2 * q
     return (x - 2.0) * np.exp(x) / 4.0 - (x + 2.0) * np.exp(-x) / 4.0 + 1.0
 
 

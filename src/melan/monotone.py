@@ -142,9 +142,9 @@ class MonotoneVerdict:
     holds the pair's own alpha and beta), `gaps[n]` is the observed bracket
     width max|beta_n - alpha_n|, and `gap_bounds[n]` its a-priori sup-norm
     bound (L**2/4)*rho**n times the initial curvature gap (rho clamped at
-    zero).  `certified` is True only for a clean run: ordered, monotone,
-    converged, with the bracket and positivity conditions verified.  The
-    pair's uniqueness report does not affect certification of the bracket.
+    zero).  Derived: `iterations`, len(gaps) - 1, and `certified`, True only
+    for a clean run (converged, no warning: ordered, monotone, bracket and
+    positivity verified); the pair's uniqueness report does not affect it.
     """
 
     pair: BoundPair
@@ -153,9 +153,15 @@ class MonotoneVerdict:
     gaps: Tuple[float, ...]
     gap_bounds: Tuple[float, ...]
     status: str
-    iterations: int
-    certified: bool
     warnings: Tuple[str, ...] = field(default=())
+
+    @property
+    def iterations(self) -> int:
+        return len(self.gaps) - 1
+
+    @property
+    def certified(self) -> bool:
+        return self.status == "converged" and not self.warnings
 
     @property
     def final_gap(self) -> float:
@@ -433,14 +439,13 @@ def run_monotone(
         raise NonFiniteSolution(f"the {side} iterates diverge: sweep {n} overflows "
                                 f"(previous integral {prev.integral:.6g})") from exc
 
-    iterations = len(gaps) - 1
     converged = gaps[-1] < tol
     status = "monotonicity-violation" if violated else "converged" if converged else "max-iters"
 
     lower, upper = tuple(alphas), tuple(betas)
     if status != "converged":
         # Strict mode raised at the first violation, so only max-iters gets here.
-        stopped = f"bracket width {gaps[-1]:.6g} after {iterations} sweeps"
+        stopped = f"bracket width {gaps[-1]:.6g} after {len(gaps) - 1} sweeps"
         if strict:
             raise NotConverged(
                 f"{stopped} (tolerance {tol:.6g})", lower=lower, upper=upper
@@ -454,8 +459,6 @@ def run_monotone(
         gaps=tuple(gaps),
         gap_bounds=tuple(gap_bounds),
         status=status,
-        iterations=iterations,
-        certified=status == "converged" and not warnings,
         warnings=tuple(warnings),
     )
 

@@ -100,18 +100,21 @@ def test_x_squared_sigma_asymptotics():
 
 
 def test_xi_golden_and_reference():
-    assert xi(2.0) == pytest.approx(0.8646647167633873, rel=1e-13)
+    # abs=0: pytest.approx's default abs=1e-12 is 2.4e-7 of xi(0.1)
+    assert xi(2.0) == pytest.approx(0.8646647167633873, rel=1e-13, abs=0)
     for z in (0.1, 0.894427, 2.0, 10.0):
         ref = float((mp.mpf(z) / 2) * mp.sinh(z) - mp.cosh(z) + 1)
-        assert xi(z) == pytest.approx(ref, rel=1e-13)
+        assert xi(z) == pytest.approx(ref, rel=1e-13, abs=0)
 
 
 def test_xi_series_branch_matches_mpmath():
-    # below x = 0.1 xi is x**4*(1/24 + x**2/360 + ...), whose first omitted
-    # term is 3e-15 relative at 0.1 (pytest.approx's default abs=1e-12 would
-    # pass any of these values, so the check is written out)
+    # below x = 2 xi is x**4*(1/24 + x**2/360 + ...), twelve positive terms;
+    # above it the factored closed form, which cancels about 2.4e5-fold near
+    # x = 0.1 (pytest.approx's default abs=1e-12 would pass any value near
+    # xi(0.1) = 4.2e-6, so the check is written out)
     xs = [float(x) for x in np.logspace(-70, -1, 70)[:-1]]
     xs += [float(x) for x in np.linspace(0.095, 0.1, 41)[:-1]]
+    xs += [float(x) for x in np.linspace(0.1, 6.0, 591)]
     for x in xs:
         with mp.workdps(30 - 4 * int(np.log10(x))):  # the closed form cancels like x**-4
             ref = (mp.mpf(x) / 2) * mp.sinh(x) - mp.cosh(x) + 1

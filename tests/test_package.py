@@ -126,3 +126,24 @@ def test_only_quiet_sets_the_floating_point_state():
             elif isinstance(node, ast.withitem) and _named(node.context_expr) == "_quiet":
                 found.append(f"{name}:{node.context_expr.lineno} with _quiet")
     assert found == []
+
+
+DERIVED = {"MonotoneVerdict": {"iterations", "certified"}, "ApplicabilityReport": {"verdict"}}
+
+
+def test_derived_facts_have_one_home():
+    # A run's sweep count and certification, and a bridge's verdict, are
+    # properties derived from the record's own fields: no call passes them,
+    # and neither record declares them as dataclass fields.
+    found = []
+    keywords = set().union(*DERIVED.values())
+    for name in MODULES:
+        for node in ast.walk(ast.parse(Path(importlib.import_module(name).__file__).read_text())):
+            if isinstance(node, ast.Call):
+                found += [f"{name}:{node.lineno} {k.arg}=" for k in node.keywords
+                          if k.arg in keywords]
+            elif isinstance(node, ast.ClassDef) and node.name in DERIVED:
+                found += [f"{name}:{item.lineno} {node.name}.{item.target.id}"
+                          for item in node.body if isinstance(item, ast.AnnAssign)
+                          and item.target.id in DERIVED[node.name]]
+    assert found == []
