@@ -22,7 +22,7 @@ from .errors import ConfigError, EnvelopeViolation
 from .kernel import _product, _quiet
 from .linear import GridSolution
 from .loads import LoadSpec, Sampled
-from .monotone import MelanProblem, MonotoneVerdict, _slack, make_sine_pair, run_monotone
+from .monotone import MelanProblem, MonotoneVerdict, _verify_bound, make_sine_pair, run_monotone
 from .quadrature import uniform_grid
 
 __all__ = [
@@ -352,20 +352,17 @@ def solve_bridge(
     p_env = np.concatenate((bp.EI * pair.p, live_load.evaluate(x_extra, L)))
     bound = np.concatenate((bp.EI * pair.model, report.envelope_sine
                             * np.sin(np.pi * x_extra / L) + report.envelope_const))
-    slack = _slack(p_env)
-    below = float(np.min(p_env))
-    excess = float(np.max(p_env - bound))
+    # The run's initial bound checks in kN/m; min p is 0.0 - low.lhs, so a 0 prints 0, not -0.
+    low = _verify_bound("live-load-lower", 1.0, 0.0, p_env)
+    high = _verify_bound("live-load-upper", -1.0, bound, p_env)
     outside = None
-    if below < -slack or not excess <= slack < np.inf:
-        msg = (
-            f"live load leaves the admissible band 0 <= p <= "
-            f"{report.envelope_sine:.6g}*sin(pi*x/L) + {report.envelope_const:.6g}"
-            f" (min p = {below:.6g}, worst excess = {excess:.6g})"
-        )
+    if not (low.satisfied and high.satisfied and np.isfinite(high.rhs)):
+        outside = (f"live load leaves the admissible band 0 <= p <= "
+                   f"{report.envelope_sine:.6g}*sin(pi*x/L) + {report.envelope_const:.6g}"
+                   f" (min p = {0.0 - low.lhs:.6g}, worst excess = {high.lhs:.6g})")
         if not force:
-            raise EnvelopeViolation(msg)
-        _warnings.warn(msg, stacklevel=3)  # past _quiet's wrapper, at the caller
-        outside = msg
+            raise EnvelopeViolation(outside)
+        _warnings.warn(outside, stacklevel=3)  # past _quiet's wrapper, at the caller
 
     verdict = run_monotone(pair, max_iter=max_iter, tol=tol, strict=not force)
     if outside is not None:

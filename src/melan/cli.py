@@ -441,6 +441,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy refuses an impossible array at once
+        print(f"error: not enough memory for this grid_points: {exc}", file=sys.stderr)
+        return 1
     except (NotApplicable, EnvelopeViolation) as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 2

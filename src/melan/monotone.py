@@ -132,6 +132,10 @@ class BoundPair:
     rho: float
     model: np.ndarray
 
+    @property
+    def curvature_gap(self) -> float:
+        return float(np.max(np.abs(self.alpha.ypp - self.beta.ypp)))
+
 
 @dataclass(frozen=True, eq=False)
 class MonotoneVerdict:
@@ -139,21 +143,26 @@ class MonotoneVerdict:
 
     The pair holds the grid, (M, N), lam, rho and the bracket's conditions.
     After n sweeps the iterates are `lower[n]` and `upper[n]` (index 0
-    holds the pair's own alpha and beta), `gaps[n]` is the observed bracket
-    width max|beta_n - alpha_n|, and `gap_bounds[n]` its a-priori sup-norm
-    bound (L**2/4)*rho**n times the initial curvature gap (rho clamped at
-    zero).  Derived: `iterations`, len(gaps) - 1, and `certified`, True only
-    for a clean run (converged, no warning: ordered, monotone, bracket and
-    positivity verified); the pair's uniqueness report does not affect it.
+    holds the pair's own alpha and beta), and `gaps[n]` is the observed
+    bracket width max|beta_n - alpha_n|.  Derived: `gap_bounds[n]`, the
+    width's a-priori sup-norm bound (L**2/4)*rho**n*pair.curvature_gap (rho
+    clamped at zero), `iterations`, len(gaps) - 1, and `certified`, True
+    only for a clean run (converged, no warning: ordered, monotone, bracket
+    and positivity verified); the pair's uniqueness report does not affect it.
     """
 
     pair: BoundPair
     lower: Tuple[Iterate, ...]
     upper: Tuple[Iterate, ...]
     gaps: Tuple[float, ...]
-    gap_bounds: Tuple[float, ...]
     status: str
     warnings: Tuple[str, ...] = field(default=())
+
+    @property
+    @_quiet  # the powers saturate to inf past the float range
+    def gap_bounds(self) -> Tuple[float, ...]:
+        L, rho, gap0_pp = self.pair.problem.L, self.pair.rho, self.pair.curvature_gap
+        return tuple(_gap_bound(L, rho, n, gap0_pp) for n in range(len(self.gaps)))
 
     @property
     def iterations(self) -> int:
@@ -358,7 +367,6 @@ def run_monotone(
     histories attached).  With strict=False those conditions downgrade to
     warnings, the run continues, and the result is marked uncertified.
     """
-    problem = pair.problem
     warnings: List[str] = []
 
     def refuse(error, message: str) -> None:
@@ -384,14 +392,12 @@ def run_monotone(
 
     tol_y = _slack(pair.beta.y)
     tol_pp = _slack(pair.beta.ypp)
-    gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
     gaps = [float(np.max(np.abs(pair.beta.y - pair.alpha.y)))]
     if tol is None:
         tol = 1e-8 * max(1.0, gaps[0])
 
     alphas = [pair.alpha]
     betas = [pair.beta]
-    gap_bounds = [_gap_bound(problem.L, pair.rho, 0, gap0_pp)]
     violated = False
     # Per sweep, diffs[k] holds the y and y'' differences previous lower - new
     # lower (k = 0), new upper - previous upper (1) and new upper - new lower
@@ -433,9 +439,11 @@ def run_monotone(
 
             alphas.append(new_alpha)
             betas.append(new_beta)
-            gap_bounds.append(_gap_bound(problem.L, pair.rho, n, gap0_pp))
             gaps.append(float(max(hi[2, 0], -lo[2, 0])))
     except NonFiniteSolution as exc:  # a sweep leaves the float range
+        if (side, n) == ("lower", 1):  # alpha = 0: its right side is the load alone
+            raise NonFiniteSolution(f"sweep 1 solves the load alone, and its linear solve "
+                                    f"leaves the float range at L = {pair.problem.L:.6g}") from exc
         raise NonFiniteSolution(f"the {side} iterates diverge: sweep {n} overflows "
                                 f"(previous integral {prev.integral:.6g})") from exc
 
@@ -457,7 +465,6 @@ def run_monotone(
         lower=lower,
         upper=upper,
         gaps=tuple(gaps),
-        gap_bounds=tuple(gap_bounds),
         status=status,
         warnings=tuple(warnings),
     )
@@ -479,8 +486,7 @@ def error_bounds(verdict: MonotoneVerdict, n: int) -> Tuple[float, float]:
     pair = verdict.pair
     if not (pair.rho < 1.0):
         raise BoundUnavailable(f"contraction factor rho = {pair.rho:.6g} is not below 1")
-    gap0_pp = float(np.max(np.abs(pair.alpha.ypp - pair.beta.ypp)))
-    gap_bound = _gap_bound(pair.problem.L, pair.rho, n, gap0_pp)
+    gap_bound = _gap_bound(pair.problem.L, pair.rho, n, pair.curvature_gap)
     a_priori = gap_bound / (1.0 - pair.rho)
     return a_priori, gap_bound
 

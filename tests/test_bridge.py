@@ -446,6 +446,16 @@ def test_the_envelope_edge_is_refused_alike_on_every_grid(side):
             assert refused == (side > 1.0), (const, sine, grid)
 
 
+def test_a_refused_load_with_a_zero_minimum_reports_min_p_0():
+    # A half sine 1e-6 above the edge's midspan value A + B: refused, and its
+    # minimum, at x = 0, is exactly 0, which the message prints as 0, not -0.
+    bp = span_100()
+    A, B = load_envelope(bp)
+    load = LoadSpec((SineHalfWave((A + B) * (1.0 + 1e-6)),))
+    with pytest.raises(EnvelopeViolation, match=r"\(min p = 0, worst excess = \d"):
+        solve_bridge(bp, load, grid_points=101)
+
+
 def test_a_load_beyond_the_float_range_is_outside_the_band():
     # c1 = 1e307 is finite over EI, but the load in kN/m overflows near the
     # far end: the band check must refuse it, not compare inf with inf.

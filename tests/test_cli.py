@@ -492,10 +492,17 @@ GRID_11 = {"numerics": {"grid_points": 11}}
         ("iterate", {"a": 0.001, "b": 10.0, "c": 1.0, "L": 10.0, "lambda": 1.0},
          [{"type": "constant", "value": 0.1}], {"numerics": {"max_iter": 1000}}, ["--force"],
          3, "numerical failure: trace.json would hold a non-finite number"),
-        # L**2 = 4e308 at sweep 0, and the forced run leaves the float range
+        # L**2 = 4e308 at sweep 0, and the load's own linear solve, the first
+        # lower sweep, leaves the float range
         ("iterate", {"a": 1.0, "b": 1e-12, "c": 1e-12, "L": 2e154},
          [{"type": "constant", "value": 1.0}], GRID_11, ["--force"], 3,
-         "numerical failure:"),
+         "numerical failure: sweep 1 solves the load alone, and its linear solve leaves "
+         "the float range at L = 2e+154"),
+        # a 711 PiB grid, beyond any address space: numpy refuses it at once,
+        # before anything is allocated, even where memory is overcommitted
+        ("solve-linear", LINEAR, [{"type": "constant", "value": 1.0}], {},
+         ["--grid", "100000000000000001"], 1,
+         "error: not enough memory for this grid_points: Unable to allocate"),
     ],
     ids=["negative-lambda", "overflowing-coefficient", "no-cable-coupling",
          "overflowing-sine-bracket",
@@ -506,7 +513,7 @@ GRID_11 = {"numerics": {"grid_points": 11}}
          "string-force", "boolean-sample",
          "string-sample",
          "overflowing-integer-sample", "numeric-output-dir", "non-finite-trace",
-         "saturating-gap-bound", "overflowing-initial-gap-bound"],
+         "saturating-gap-bound", "overflowing-initial-gap-bound", "impossible-grid"],
 )
 def test_bad_input_exits_without_traceback(tmp_path, capsys, mode, problem, load,
                                            blocks, flags, code, message):

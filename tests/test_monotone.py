@@ -485,6 +485,16 @@ def test_gap_bound_saturates(L, rho, n, gap0_pp, want):
         assert _gap_bound(L, rho, n, gap0_pp) == want
 
 
+def test_derived_gap_bounds_saturate_without_a_warning():
+    # L**2/4 overflows at sweep 0: reading the derived bounds of the forced,
+    # sweepless run outside any solver gives inf and warns nothing
+    problem = MelanProblem(a=1.0, b=1e-12, c=1e-12, L=2e154, load=LoadSpec((Constant(1.0),)))
+    v = run_monotone(make_sine_pair(problem, 2e152, 11), max_iter=0, strict=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert v.gap_bounds == (math.inf,)
+
+
 def test_overflowing_sine_curvature_raises():
     with pytest.raises(NonFiniteSolution, match="curvature overflows"):
         make_sine_pair(standard_problem(), 1e308, 101)

@@ -128,11 +128,12 @@ def test_only_quiet_sets_the_floating_point_state():
     assert found == []
 
 
-DERIVED = {"MonotoneVerdict": {"iterations", "certified"}, "ApplicabilityReport": {"verdict"}}
+DERIVED = {"MonotoneVerdict": {"iterations", "certified", "gap_bounds"},
+           "ApplicabilityReport": {"verdict"}}
 
 
 def test_derived_facts_have_one_home():
-    # A run's sweep count and certification, and a bridge's verdict, are
+    # A run's sweep count, certification and gap bounds, and a bridge's verdict, are
     # properties derived from the record's own fields: no call passes them,
     # and neither record declares them as dataclass fields.
     found = []
